@@ -20,8 +20,8 @@ use std::rc::Rc;
 use serde::{Deserialize, Serialize};
 use shredder_core::{
     AdmissionControl, ChunkError, ChunkRequest, ChunkVerdict, ChunkingService, DedupSink,
-    DedupSinkConfig, EngineReport, ServiceReport, Shredder, ShredderEngine, ShredderService,
-    SinkPipelineHints, SliceSource, TenantClass, Workload,
+    DedupSinkConfig, EngineReport, ServiceReport, Shredder, ShredderService, SinkPipelineHints,
+    SliceSource, TenantClass, Workload,
 };
 use shredder_des::Dur;
 
@@ -105,10 +105,7 @@ impl ServiceBackupReport {
     /// The service-level report (offered vs. achieved req/s and Gbps,
     /// queue depth, latency percentiles).
     pub fn service(&self) -> &ServiceReport {
-        self.engine
-            .service
-            .as_ref()
-            .expect("service runs always carry a ServiceReport")
+        &self.engine.service
     }
 
     /// Images that completed.
@@ -219,7 +216,7 @@ impl BackupServer {
     /// The per-site ingest cap is *not* part of the sink: the legacy
     /// single-image path ([`backup_image`](Self::backup_image)) passes
     /// it explicitly through
-    /// [`chunk_stream_sink_capped`](ChunkingService::chunk_stream_sink_capped),
+    /// [`chunk_source_sink`](ChunkingService::chunk_source_sink),
     /// and the request path ([`backup_service`](Self::backup_service))
     /// models it as a [`TenantClass`] bandwidth limit.
     fn sink_config(&self) -> DedupSinkConfig {
@@ -252,8 +249,11 @@ impl BackupServer {
     ) -> Result<BackupReport, ChunkError> {
         let mut sink = DedupSink::new(self.sink_config(), self.index.clone());
         // The §7.3 image source feeds the chunker at the ingest rate.
-        let outcome =
-            service.chunk_stream_sink_capped(image, &mut sink, Some(self.config.ingest_bw))?;
+        let outcome = service.chunk_source_sink(
+            &mut SliceSource::new(image),
+            &mut sink,
+            Some(self.config.ingest_bw),
+        )?;
         Ok(self.commit_image(
             image,
             &sink.into_verdicts(),
@@ -263,7 +263,7 @@ impl BackupServer {
     }
 
     /// Backs up several site streams in **one batch**: every image is a
-    /// sink session on one shared multi-stream engine (§7.2's server
+    /// sink-carrying request of one closed-batch service run (§7.2's server
     /// handling many remote sites). Chunking, fingerprinting, index
     /// lookup and shipping for all sites contend for and overlap on the
     /// same simulated hardware; the returned [`EngineReport`] carries
@@ -288,11 +288,16 @@ impl BackupServer {
             .map(|_| DedupSink::new(self.sink_config(), self.index.clone()))
             .collect();
         let outcome = {
-            let mut engine = ShredderEngine::new(cfg);
+            let mut service =
+                ShredderService::new(cfg).with_admission(AdmissionControl::unbounded());
             for (i, (image, sink)) in images.iter().zip(sinks.iter_mut()).enumerate() {
-                engine.open_sink_session(format!("site-{i}"), 1, SliceSource::new(image), sink);
+                service.submit(
+                    ChunkRequest::new(SliceSource::new(image))
+                        .named(format!("site-{i}"))
+                        .with_sink(sink),
+                );
             }
-            engine.run()?
+            service.run(&Workload::Batch)?
         };
 
         let mut reports = Vec::with_capacity(images.len());
@@ -371,11 +376,7 @@ impl BackupServer {
         // Commit completed images in *dispatch* order — the order their
         // sinks deduplicated against the shared index — so a pointer
         // never precedes the chunk it references.
-        let service_report = outcome
-            .report
-            .service
-            .as_ref()
-            .expect("service runs always carry a ServiceReport");
+        let service_report = &outcome.report.service;
         let mut admitted: Vec<usize> = service_report
             .requests
             .iter()

@@ -19,22 +19,25 @@
 //! the CI regression gate (see `src/bin/bench_gate.rs`).
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line, table};
-use shredder_core::{EngineOutcome, ShredderConfig, ShredderEngine, SliceSource};
+use shredder_core::{
+    AdmissionControl, ChunkRequest, ServiceOutcome, ShredderConfig, ShredderService, SliceSource,
+    Workload,
+};
 use shredder_gpu::kernel::KernelVariant;
 use shredder_rabin::{chunk_all, BoundaryKernel, ChunkParams, GearKernel};
 
-fn run_pool(streams: &[Vec<u8>], gpus: usize, kernel: KernelVariant) -> EngineOutcome {
+fn run_pool(streams: &[Vec<u8>], gpus: usize, kernel: KernelVariant) -> ServiceOutcome {
     let cfg = ShredderConfig::gpu_streams_memory()
         .with_buffer_size(1 << 20)
         .with_reader_bandwidth(32e9)
         .with_gpus(gpus)
         .with_pipeline_depth(4 * gpus)
         .with_chunk_kernel(kernel);
-    let mut engine = ShredderEngine::new(cfg);
+    let mut service = ShredderService::new(cfg).with_admission(AdmissionControl::unbounded());
     for (t, data) in streams.iter().enumerate() {
-        engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+        service.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
     }
-    engine.run().expect("engine run failed")
+    service.run(&Workload::Batch).expect("service run failed")
 }
 
 fn main() {
@@ -55,7 +58,8 @@ fn main() {
     let mut outcomes = Vec::new();
     for &gpus in &pool_sizes {
         let out = run_pool(&streams, gpus, KernelVariant::Coalesced);
-        for (session, expected) in out.sessions.iter().zip(&reference) {
+        assert_eq!(out.completed().count(), tenants);
+        for ((_, session), expected) in out.completed().zip(&reference) {
             assert_eq!(
                 &session.chunks, expected,
                 "{} diverged on a {gpus}-device pool",
@@ -75,7 +79,8 @@ fn main() {
     let mut gear_outcomes = Vec::new();
     for &gpus in &pool_sizes {
         let out = run_pool(&streams, gpus, KernelVariant::GearCoalesced);
-        for (session, expected) in out.sessions.iter().zip(&gear_reference) {
+        assert_eq!(out.completed().count(), tenants);
+        for ((_, session), expected) in out.completed().zip(&gear_reference) {
             assert_eq!(
                 &session.chunks, expected,
                 "{} (gear) diverged on a {gpus}-device pool",

@@ -2,7 +2,7 @@
 //! pipeline.
 //!
 //! The ROADMAP's "many clients, one GPU" direction (and §7.2's backup
-//! server consolidating many remote sites): the session engine admits
+//! server consolidating many remote sites): the service's engine admits
 //! buffers from every tenant into the same reader/DMA/kernel/store
 //! pipeline, so one stream's fill/drain bubbles are covered by the
 //! others' buffers. The harness checks the two load-bearing properties:
@@ -22,10 +22,32 @@
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line, table};
 use shredder_core::{
-    AdmissionPolicy, ChunkingService, EngineReport, Shredder, ShredderConfig, ShredderEngine,
-    SliceSource,
+    AdmissionControl, AdmissionPolicy, ChunkRequest, ChunkingService, EngineReport, ServiceOutcome,
+    Shredder, ShredderConfig, ShredderService, SliceSource, Workload,
 };
 use shredder_rabin::{chunk_all, ChunkParams};
+
+/// Runs every tenant stream through one service as a closed batch (every
+/// request at `t = 0`, unbounded admission), tenant `t` weighted
+/// `weight(t)` under the buffer-level `policy`.
+fn run_tenants(
+    cfg: &ShredderConfig,
+    policy: AdmissionPolicy,
+    streams: &[Vec<u8>],
+    weight: impl Fn(usize) -> u32,
+) -> ServiceOutcome {
+    let mut service = ShredderService::new(cfg.clone())
+        .with_admission(AdmissionControl::unbounded())
+        .with_engine_policy(policy);
+    for (t, data) in streams.iter().enumerate() {
+        service.submit(
+            ChunkRequest::new(SliceSource::new(data))
+                .named(format!("tenant-{t}"))
+                .with_weight(weight(t)),
+        );
+    }
+    service.run(&Workload::Batch).expect("service run failed")
+}
 
 /// Hand-rolled JSON for the perf-trajectory dump (`EngineReport` and
 /// friends derive `serde::Serialize`, but the offline stub emits
@@ -128,16 +150,13 @@ fn main() {
     }
     let solo_mean = solo_gbps.iter().sum::<f64>() / solo_gbps.len() as f64;
 
-    // All tenants concurrently through one engine.
-    let mut engine = ShredderEngine::new(cfg.clone()).with_policy(AdmissionPolicy::RoundRobin);
-    for (t, data) in streams.iter().enumerate() {
-        engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
-    }
-    let outcome = engine.run().expect("engine run failed");
+    // All tenants concurrently through one service, as a closed batch.
+    let outcome = run_tenants(&cfg, AdmissionPolicy::RoundRobin, &streams, |_| 1);
 
     // Correctness under contention: bit-identical per stream.
     let params = ChunkParams::paper();
-    for (session, data) in outcome.sessions.iter().zip(&streams) {
+    assert_eq!(outcome.completed().count(), tenants);
+    for ((_, session), data) in outcome.completed().zip(&streams) {
         assert_eq!(
             session.chunks,
             chunk_all(data, &params),
@@ -203,12 +222,13 @@ fn main() {
     );
 
     // Weighted admission: a priority tenant finishes sooner.
-    let mut weighted = ShredderEngine::new(cfg).with_policy(AdmissionPolicy::Weighted);
-    for (t, data) in streams.iter().enumerate() {
-        let weight = if t == 0 { 4 } else { 1 };
-        weighted.open_named_session(format!("tenant-{t}"), weight, SliceSource::new(data));
-    }
-    let weighted_out = weighted.run().expect("engine run failed");
+    let weighted_out = run_tenants(&cfg, AdmissionPolicy::Weighted, &streams, |t| {
+        if t == 0 {
+            4
+        } else {
+            1
+        }
+    });
     let priority = &weighted_out.report.sessions[0];
     let rr_priority = &outcome.report.sessions[0];
     println!();

@@ -312,9 +312,9 @@ impl ShredderConfig {
     /// but the fields are public: a configuration assembled by struct
     /// update or direct mutation can carry a zero `segment_bytes` or an
     /// out-of-range `gc_threshold` that would otherwise only surface as
-    /// a panic inside the store's segment log. Every engine entry point
-    /// ([`ShredderEngine::run`](crate::ShredderEngine::run) and the
-    /// service frontend) calls this before doing any work.
+    /// a panic inside the store's segment log or the device pool.
+    /// [`ShredderService::run`](crate::ShredderService::run), the one
+    /// entry point into the engine, calls this before doing any work.
     ///
     /// # Errors
     ///
@@ -335,6 +335,28 @@ impl ShredderConfig {
         }
         if self.pipeline_depth == 0 {
             return Err(InvalidConfig("pipeline depth must be non-zero".into()));
+        }
+        if self.twin_buffers == 0 {
+            return Err(InvalidConfig("twin_buffers must be non-zero".into()));
+        }
+        let d = &self.device;
+        for (field, value) in [
+            ("sms", d.sms as usize),
+            ("sps_per_sm", d.sps_per_sm as usize),
+            ("txn_bytes_coalesced", d.txn_bytes_coalesced),
+            ("dram_banks", d.dram_banks as usize),
+            ("dram_row_bytes", d.dram_row_bytes),
+        ] {
+            if value == 0 {
+                return Err(InvalidConfig(format!("device {field} must be non-zero")));
+            }
+        }
+        for (field, value) in [("clock_hz", d.clock_hz), ("mem_bandwidth", d.mem_bandwidth)] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(InvalidConfig(format!(
+                    "device {field} must be positive and finite, got {value}"
+                )));
+            }
         }
         if self.gpus == 0 {
             return Err(InvalidConfig(

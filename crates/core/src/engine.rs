@@ -1,32 +1,34 @@
-//! The multi-stream chunking engine: N tenant sessions, one shared
-//! device pipeline, one discrete-event simulation.
+//! The multi-stream chunking engine behind
+//! [`ShredderService`](crate::ShredderService): N tenant requests, one
+//! shared device pipeline, one discrete-event simulation.
 //!
 //! The paper's pipeline (§4.2) exists to keep the GPU saturated. A
 //! single stream can only do that while it has buffers in flight; a
 //! backup server handling many remote sites (§7.2) or an Inc-HDFS
 //! ingesting several files wants to keep the device busy *across*
-//! streams. [`ShredderEngine`] does exactly that:
+//! streams. The engine does exactly that:
 //!
-//! * every open [`ChunkSession`] is planned into pipeline buffers (the
-//!   functional pass — real kernels over real bytes, with the
-//!   `window − 1` carry so boundaries are bit-identical per stream to a
-//!   sequential scan of that stream alone);
-//! * all sessions' buffers are then scheduled through **one shared**
+//! * every request is planned into pipeline buffers (the functional
+//!   pass — real kernels over real bytes, with the `window − 1` carry so
+//!   boundaries are bit-identical per stream to a sequential scan of
+//!   that stream alone);
+//! * all requests' buffers are then scheduled through **one shared**
 //!   simulation — one SAN reader channel, one Store thread, and a
 //!   [`DevicePool`] of `gpus` devices, each with its own twin-buffer
 //!   lanes, pinned staging ring and H2D/kernel/D2H engine set — so
 //!   tenants genuinely contend for and overlap on the same hardware;
-//! * a central admission scheduler (replacing the old per-call
-//!   semaphore) hands the global `pipeline_depth` slots to sessions
-//!   fairly: round-robin, weighted, or strict session order;
-//! * a placement layer shards sessions across the pool (a
+//! * a central admission scheduler hands the global `pipeline_depth`
+//!   slots to dispatched requests fairly: round-robin, weighted, or
+//!   strict submit order ([`AdmissionPolicy`]);
+//! * a placement layer shards requests across the pool (a
 //!   [`PlacementPolicy`]: least-loaded, round-robin, or explicit pins),
 //!   and each device's staging-ring slots are DES resources held from
 //!   SAN read through H2D — ring exhaustion backpressures admission.
 //!
-//! The legacy one-shot [`Shredder::chunk_stream`](crate::Shredder) API is now a thin
-//! single-session convenience over this engine (see
-//! [`crate::pipeline`]).
+//! The engine has no public constructor: [`ShredderService`](crate::ShredderService)
+//! is its one front door, and the one-shot
+//! [`Shredder`](crate::Shredder) helper is a one-request batch run of
+//! that service.
 //!
 //! # Examples
 //!
@@ -34,7 +36,9 @@
 //! sequential scan of its own stream produces:
 //!
 //! ```
-//! use shredder_core::{ShredderConfig, ShredderEngine, SliceSource};
+//! use shredder_core::{
+//!     AdmissionControl, ChunkRequest, ShredderConfig, ShredderService, SliceSource, Workload,
+//! };
 //! use shredder_rabin::{chunk_all, ChunkParams};
 //!
 //! let streams: Vec<Vec<u8>> = (0..4u64)
@@ -45,15 +49,16 @@
 //!     })
 //!     .collect();
 //!
-//! let mut engine =
-//!     ShredderEngine::new(ShredderConfig::gpu_streams_memory().with_buffer_size(64 << 10));
+//! let mut service =
+//!     ShredderService::new(ShredderConfig::gpu_streams_memory().with_buffer_size(64 << 10))
+//!         .with_admission(AdmissionControl::unbounded());
 //! for s in &streams {
-//!     engine.open_session(SliceSource::new(s));
+//!     service.submit(ChunkRequest::new(SliceSource::new(s)));
 //! }
-//! let outcome = engine.run().unwrap();
+//! let outcome = service.run(&Workload::Batch).unwrap();
 //!
-//! for (session, data) in outcome.sessions.iter().zip(&streams) {
-//!     assert_eq!(session.chunks, chunk_all(data, &ChunkParams::paper()));
+//! for ((_, request), data) in outcome.completed().zip(&streams) {
+//!     assert_eq!(request.chunks, chunk_all(data, &ChunkParams::paper()));
 //! }
 //! assert!(outcome.report.aggregate_gbps() > 0.0);
 //! ```
@@ -76,11 +81,11 @@ use crate::bufpool::{BufferPool, PooledBuf};
 use crate::config::ShredderConfig;
 use crate::error::ChunkError;
 use crate::fault::{FaultKind, FaultReport};
+use crate::frontend::SessionOutcome;
 use crate::report::{
     percentile, BufferTimeline, ClassLatency, DeviceReport, EngineReport, RequestReport,
     ServiceReport, SessionReport, StageBusy, StageReport,
 };
-use crate::session::{ChunkSession, SessionId, SessionOutcome};
 use crate::sink::{ChunkSink, StageSpec};
 use crate::source::StreamSource;
 use crate::workload::{AdmissionControl, ArrivalSchedule, TenantClass, Workload};
@@ -94,7 +99,7 @@ pub enum AdmissionPolicy {
     /// Deficit round-robin: a session with weight `w` may admit up to
     /// `w` buffers per turn. Weight 0 is treated as 1.
     Weighted,
-    /// Drain sessions in open order — the legacy one-stream-at-a-time
+    /// Drain requests in submit order — the one-stream-at-a-time
     /// behaviour, kept for comparisons.
     SessionOrder,
 }
@@ -114,15 +119,15 @@ impl std::fmt::Display for AdmissionPolicy {
 /// Placement is per *session*, not per buffer: a stream's buffers all
 /// run on one device, so its chunks stay bit-identical to a sequential
 /// scan regardless of pool size. An explicit pin
-/// ([`ShredderEngine::open_pinned_session`]) always wins over the
-/// policy.
+/// ([`ChunkRequest::pinned_to`](crate::ChunkRequest::pinned_to)) always
+/// wins over the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PlacementPolicy {
     /// Each session goes to the device with the least bytes assigned so
     /// far (ties to the lowest index). The default: balances by load,
     /// not by session count.
     LeastLoaded,
-    /// Unpinned sessions rotate across devices in open order.
+    /// Unpinned requests rotate across devices in submit order.
     RoundRobin,
     /// Only explicit pins place sessions; unpinned sessions fall back
     /// to least-loaded. Use when tenants own devices.
@@ -191,16 +196,6 @@ fn place_sessions_degraded(
         .collect()
 }
 
-/// The result of an engine run: per-session chunks plus the aggregate
-/// report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineOutcome {
-    /// Per-session chunk outcomes, in open order.
-    pub sessions: Vec<SessionOutcome>,
-    /// The aggregate engine report (per-session reports inside).
-    pub report: EngineReport,
-}
-
 /// One pipeline buffer's pre-computed (functional) work.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlannedBuffer {
@@ -228,273 +223,64 @@ pub(crate) struct SessionPlan {
     pub(crate) buffers: Vec<PlannedBuffer>,
 }
 
-/// A tenant class resolved for one simulation run.
-#[derive(Debug, Clone)]
-pub(crate) struct ClassRuntime {
+/// One request as the engine runs it. Its position in the run is its
+/// submit order; the frontend has already resolved its tenant-class
+/// index and checked its device pin against the pool.
+pub(crate) struct ChunkSession<'a> {
     pub(crate) name: String,
     pub(crate) weight: u32,
-    /// Ingest bandwidth cap: when set, all reads of this class's
-    /// sessions pass through one shared class link of this bandwidth
-    /// before the SAN reader.
-    pub(crate) ingest_bw: Option<f64>,
+    /// Index into the run's tenant-class table.
+    pub(crate) class: usize,
+    /// Explicit device pin: this session's buffers run on the given
+    /// pool device regardless of the placement policy.
+    pub(crate) pin: Option<usize>,
+    pub(crate) source: Box<dyn StreamSource + 'a>,
+    pub(crate) sink: Option<Box<dyn ChunkSink + 'a>>,
 }
 
-impl ClassRuntime {
-    /// The implicit class every legacy session belongs to.
-    pub(crate) fn default_class() -> Self {
-        ClassRuntime {
-            name: "default".into(),
-            weight: 1,
-            ingest_bw: None,
-        }
-    }
-}
-
-impl From<&TenantClass> for ClassRuntime {
-    fn from(c: &TenantClass) -> Self {
-        ClassRuntime {
-            name: c.name.clone(),
-            weight: c.weight,
-            ingest_bw: c.ingest_bw,
-        }
-    }
-}
-
-/// The session-based multi-stream chunking engine.
-pub struct ShredderEngine<'a> {
+/// The multi-stream chunking engine of one service run: the
+/// configuration, its boundary kernel, the buffer-level admission
+/// policy and the host buffer pool the functional pass leases from.
+pub(crate) struct ShredderEngine {
     config: ShredderConfig,
     kernel: ChunkKernel,
     policy: AdmissionPolicy,
-    sessions: Vec<ChunkSession<'a>>,
     pool: BufferPool,
 }
 
-impl<'a> ShredderEngine<'a> {
-    /// Creates an engine from a pipeline configuration. Sessions are
-    /// opened with [`open_session`](Self::open_session) and run together
-    /// with [`run`](Self::run).
-    pub fn new(config: ShredderConfig) -> Self {
+impl ShredderEngine {
+    /// An engine for `config` whose scan and retention buffers are
+    /// leased from `pool` (the owning service's, so repeat runs of the
+    /// same shape allocate nothing).
+    pub(crate) fn new(config: ShredderConfig, policy: AdmissionPolicy, pool: BufferPool) -> Self {
         let kernel = ChunkKernel::new(config.params.clone(), config.kernel);
         ShredderEngine {
             config,
             kernel,
-            policy: AdmissionPolicy::RoundRobin,
-            sessions: Vec::new(),
-            pool: BufferPool::new(),
+            policy,
+            pool,
         }
     }
 
-    /// The buffer pool backing this engine's host-side scan and
-    /// retention buffers. After the first session of a given shape, the
-    /// planning hot loop leases every buffer from here — the pool's
-    /// allocation counter staying flat across sessions is the
-    /// steady-state zero-allocation property.
-    pub fn buffer_pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    /// Sets the admission policy (default: round-robin).
-    pub fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &ShredderConfig {
-        &self.config
-    }
-
-    /// The admission policy.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// Number of sessions currently open.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Opens a session for `source` with weight 1 and a generated name.
-    pub fn open_session(&mut self, source: impl StreamSource + 'a) -> SessionId {
-        let n = self.sessions.len();
-        self.open_named_session(format!("session-{n}"), 1, source)
-    }
-
-    /// Opens a named, weighted session. The weight only matters under
-    /// [`AdmissionPolicy::Weighted`].
-    pub fn open_named_session(
-        &mut self,
-        name: impl Into<String>,
-        weight: u32,
-        source: impl StreamSource + 'a,
-    ) -> SessionId {
-        let id = SessionId(self.sessions.len());
-        self.sessions.push(ChunkSession {
-            id,
-            name: name.into(),
-            weight,
-            class: 0,
-            pin: None,
-            source: Box::new(source),
-            sink: None,
-        });
-        id
-    }
-
-    /// Opens a session pinned to one pool device: its buffers run on
-    /// `device` regardless of the [`PlacementPolicy`]. The pin is
-    /// validated against the configured pool size at
-    /// [`run`](Self::run).
-    pub fn open_pinned_session(
-        &mut self,
-        name: impl Into<String>,
-        weight: u32,
-        device: usize,
-        source: impl StreamSource + 'a,
-    ) -> SessionId {
-        let id = SessionId(self.sessions.len());
-        self.sessions.push(ChunkSession {
-            id,
-            name: name.into(),
-            weight,
-            class: 0,
-            pin: Some(device),
-            source: Box::new(source),
-            sink: None,
-        });
-        id
-    }
-
-    /// Opens a request session on behalf of the service frontend: a
-    /// named, weighted, *classed* session with an optional sink. The
-    /// class index is resolved by
-    /// [`ShredderService`](crate::ShredderService) against its tenant
-    /// table.
-    pub(crate) fn open_service_session(
-        &mut self,
-        name: impl Into<String>,
-        weight: u32,
-        class: usize,
-        source: Box<dyn StreamSource + 'a>,
-        sink: Option<Box<dyn ChunkSink + 'a>>,
-    ) -> SessionId {
-        let id = SessionId(self.sessions.len());
-        self.sessions.push(ChunkSession {
-            id,
-            name: name.into(),
-            weight,
-            class,
-            pin: None,
-            source,
-            sink,
-        });
-        id
-    }
-
-    /// Opens a session whose chunks feed a downstream [`ChunkSink`]: the
-    /// sink's stages execute inside the shared simulation with their own
-    /// service times and queues, and the session's admission slots are
-    /// held until its buffers clear the *last* stage — a slow sink
-    /// backpressures the kernel FIFO.
+    /// Runs `sessions` as requests under the given arrival workload and
+    /// admission control. Requests arrive inside the simulation, wait in
+    /// the bounded admission queue, and are dispatched (or shed with
+    /// [`ChunkError::Overloaded`]) by the control's policy.
     ///
-    /// Pass `&mut sink` to keep ownership and read the sink's functional
-    /// results (digests, dedup verdicts) after [`run`](Self::run); the
-    /// engine must be dropped first to release the borrow.
-    pub fn open_sink_session(
-        &mut self,
-        name: impl Into<String>,
-        weight: u32,
-        source: impl StreamSource + 'a,
-        sink: impl ChunkSink + 'a,
-    ) -> SessionId {
-        let id = SessionId(self.sessions.len());
-        self.sessions.push(ChunkSession {
-            id,
-            name: name.into(),
-            weight,
-            class: 0,
-            pin: None,
-            source: Box::new(source),
-            sink: Some(Box::new(sink)),
-        });
-        id
-    }
-
-    /// Chunks every open session through one shared simulation and
-    /// returns per-session chunks plus the aggregate report. Consumes
-    /// the open sessions (the engine can then be reused).
-    ///
-    /// This is the degenerate closed-batch workload of the service
-    /// frontend: every session "arrives" at `t = 0` and admission is
-    /// unbounded, so nothing queues at the service level and nothing is
-    /// shed — the chunks and digests are bit-identical to the
-    /// pre-service engine.
+    /// The caller has validated the configuration, every class index
+    /// against `classes` and every pin against the pool.
     ///
     /// # Errors
     ///
-    /// [`ChunkError::InvalidConfig`] for unusable chunking parameters,
     /// [`ChunkError::Gpu`] if a kernel launch fails. Errors from any
     /// session abort the whole run (no partial simulation is reported).
-    pub fn run(&mut self) -> Result<EngineOutcome, ChunkError> {
-        // The legacy report keeps its closed-batch shape: no service
-        // frontend accounting (and none is built).
-        let run = self.run_with_workload(
-            &Workload::Batch,
-            AdmissionControl::unbounded(),
-            vec![ClassRuntime::default_class()],
-            false,
-        )?;
-        // Unbounded admission never sheds, but if that invariant ever
-        // broke the error now propagates instead of panicking mid-run.
-        let sessions = run
-            .outcomes
-            .into_iter()
-            .collect::<Result<Vec<_>, ChunkError>>()?;
-        Ok(EngineOutcome {
-            sessions,
-            report: run.report,
-        })
-    }
-
-    /// Runs every open session as a *request* under the given arrival
-    /// workload and admission control — the open-loop service path
-    /// behind [`ShredderService`](crate::ShredderService). Requests
-    /// arrive inside the simulation, wait in the bounded admission
-    /// queue, and are dispatched (or shed with
-    /// [`ChunkError::Overloaded`]) by the control's policy.
-    ///
-    /// `with_service_report` controls whether the [`ServiceReport`] is
-    /// assembled: the closed-batch [`run`](Self::run) path skips it (it
-    /// would be discarded), the service frontend builds it.
     pub(crate) fn run_with_workload(
-        &mut self,
+        &self,
+        sessions: Vec<ChunkSession<'_>>,
         workload: &Workload,
         control: AdmissionControl,
-        classes: Vec<ClassRuntime>,
-        with_service_report: bool,
+        classes: &[TenantClass],
     ) -> Result<ServiceRun, ChunkError> {
-        self.config.validate()?;
-        // Validate before taking the sessions so a config error leaves
-        // the queued sessions intact, like the validate() above.
-        for session in &self.sessions {
-            if let Some(pin) = session.pin {
-                if pin >= self.config.gpus {
-                    return Err(ChunkError::InvalidConfig(format!(
-                        "session '{}' pinned to device {pin}, but the pool has {} device(s)",
-                        session.name, self.config.gpus
-                    )));
-                }
-            }
-            if session.class >= classes.len() {
-                return Err(ChunkError::InvalidConfig(format!(
-                    "session '{}' uses tenant class {}, but only {} class(es) are defined",
-                    session.name,
-                    session.class,
-                    classes.len()
-                )));
-            }
-        }
-        let sessions = std::mem::take(&mut self.sessions);
         let arrivals = workload.schedule(sessions.len());
 
         // Functional pass: real chunk boundaries per session. Sessions
@@ -533,7 +319,7 @@ impl<'a> ShredderEngine<'a> {
             ServiceInputs {
                 arrivals,
                 control,
-                classes: &classes,
+                classes,
                 bindings,
             },
         );
@@ -591,7 +377,6 @@ impl<'a> ShredderEngine<'a> {
                 timeline: per.timeline.clone(),
             });
             outcomes.push(Ok(SessionOutcome {
-                id: SessionId(idx),
                 name: plan.name.clone(),
                 chunks,
             }));
@@ -628,8 +413,7 @@ impl<'a> ShredderEngine<'a> {
             })
             .collect();
 
-        let service = with_service_report
-            .then(|| build_service_report(&plans, &classes, &sim.service, makespan));
+        let service = build_service_report(&plans, classes, &sim.service, makespan);
         let report = EngineReport {
             queue_wait: reports.iter().map(|r| r.queue_wait).sum(),
             sessions: reports,
@@ -656,7 +440,7 @@ impl<'a> ShredderEngine<'a> {
     /// session has a payload-reading sink, the stream's bytes are
     /// retained alongside it so the sink's functional pass can
     /// hash/inspect real payloads.
-    fn plan_session(
+    fn plan_session<'a>(
         &self,
         mut session: ChunkSession<'a>,
     ) -> Result<(SessionPlan, Option<SinkBinding<'a>>), ChunkError> {
@@ -751,25 +535,25 @@ impl<'a> ShredderEngine<'a> {
             binding,
         ))
     }
+}
 
-    /// Timing-only run over pre-planned sessions — the experiment
-    /// harness path (buffer sweeps reuse measured kernel durations
-    /// instead of re-running the functional scan).
-    pub(crate) fn simulate_planned(&self, plans: &[SessionPlan]) -> SimResult {
-        let chunk_sets = vec![Vec::new(); plans.len()];
-        simulate_service(
-            &self.config,
-            plans,
-            self.policy,
-            &chunk_sets,
-            ServiceInputs {
-                arrivals: ArrivalSchedule::Open(vec![SimTime::ZERO; plans.len()]),
-                control: AdmissionControl::unbounded(),
-                classes: &[ClassRuntime::default_class()],
-                bindings: plans.iter().map(|_| None).collect(),
-            },
-        )
-    }
+/// Timing-only run over pre-planned sessions — the experiment harness
+/// path (buffer sweeps reuse measured kernel durations instead of
+/// re-running the functional scan).
+pub(crate) fn simulate_planned(config: &ShredderConfig, plans: &[SessionPlan]) -> SimResult {
+    let chunk_sets = vec![Vec::new(); plans.len()];
+    simulate_service(
+        config,
+        plans,
+        AdmissionPolicy::RoundRobin,
+        &chunk_sets,
+        ServiceInputs {
+            arrivals: ArrivalSchedule::Open(vec![SimTime::ZERO; plans.len()]),
+            control: AdmissionControl::unbounded(),
+            classes: &[TenantClass::new("default")],
+            bindings: plans.iter().map(|_| None).collect(),
+        },
+    )
 }
 
 /// The result of a service-frontend run: one outcome per request
@@ -799,21 +583,11 @@ type BufferSinkWork = Vec<(usize, Dur)>;
 pub(crate) struct ServiceInputs<'s, 'a> {
     pub(crate) arrivals: ArrivalSchedule,
     pub(crate) control: AdmissionControl,
-    pub(crate) classes: &'s [ClassRuntime],
+    pub(crate) classes: &'s [TenantClass],
     /// Per-session sink bindings. Their functional pass runs when the
     /// request is dispatched (in dispatch order), never for shed
     /// requests.
     pub(crate) bindings: Vec<Option<SinkBinding<'a>>>,
-}
-
-impl std::fmt::Debug for ShredderEngine<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShredderEngine")
-            .field("config", &self.config)
-            .field("policy", &self.policy)
-            .field("sessions", &self.sessions.len())
-            .finish()
-    }
 }
 
 /// Per-session timing produced by the shared simulation.
@@ -1692,7 +1466,7 @@ fn simulate_service<'a>(
     );
     let prep = FifoServer::new("host-prep", 1);
     let store = FifoServer::new("store-thread", 1);
-    // `ShredderEngine::run` rejects `gpus == 0` with `InvalidConfig`;
+    // `ShredderService::run` rejects `gpus == 0` with `InvalidConfig`;
     // on the infallible analytic path (`simulate_synthetic`) the pool's
     // own non-empty assert fires instead of silently coercing to 1.
     let gpus = config.gpus;
@@ -2136,7 +1910,7 @@ fn simulate_service<'a>(
 /// per-class latency percentiles.
 fn build_service_report(
     plans: &[SessionPlan],
-    classes: &[ClassRuntime],
+    classes: &[TenantClass],
     svc: &ServiceSimOut,
     makespan: Dur,
 ) -> ServiceReport {
@@ -2244,6 +2018,7 @@ fn build_service_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontend::{ChunkRequest, ServiceOutcome, ShredderService};
     use crate::source::SliceSource;
     use shredder_rabin::{chunk_all, ChunkParams};
 
@@ -2263,19 +2038,39 @@ mod tests {
         ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10)
     }
 
+    /// A service that runs its requests as one closed batch: every
+    /// request at `t = 0`, unbounded admission.
+    fn batch<'a>(config: ShredderConfig) -> ShredderService<'a> {
+        ShredderService::new(config).with_admission(AdmissionControl::unbounded())
+    }
+
+    /// Runs one closed batch of `streams` under `config`.
+    fn run_batch(config: ShredderConfig, streams: &[Vec<u8>]) -> ServiceOutcome {
+        let mut service = batch(config);
+        for s in streams {
+            service.submit(ChunkRequest::new(SliceSource::new(s)));
+        }
+        service.run(&Workload::Batch).unwrap()
+    }
+
+    /// Each request's chunks, in submit order (panics on a shed request,
+    /// which unbounded admission never produces).
+    fn chunks(out: &ServiceOutcome) -> Vec<&[Chunk]> {
+        out.requests
+            .iter()
+            .map(|r| r.outcome.as_ref().unwrap().chunks.as_slice())
+            .collect()
+    }
+
     #[test]
     fn multi_session_chunks_equal_sequential_per_stream() {
         let streams: Vec<Vec<u8>> = (0..5)
             .map(|s| pseudo_random(300_000 + s * 77_000, s as u64 + 1))
             .collect();
-        let mut engine = ShredderEngine::new(small_config());
-        for s in &streams {
-            engine.open_session(SliceSource::new(s));
-        }
-        let out = engine.run().unwrap();
-        assert_eq!(out.sessions.len(), 5);
-        for (session, data) in out.sessions.iter().zip(&streams) {
-            assert_eq!(session.chunks, chunk_all(data, &ChunkParams::paper()));
+        let out = run_batch(small_config(), &streams);
+        assert_eq!(out.requests.len(), 5);
+        for (got, data) in chunks(&out).into_iter().zip(&streams) {
+            assert_eq!(got, chunk_all(data, &ChunkParams::paper()));
         }
         let total: u64 = streams.iter().map(|s| s.len() as u64).sum();
         assert_eq!(out.report.bytes, total);
@@ -2283,44 +2078,43 @@ mod tests {
 
     #[test]
     fn steady_state_sessions_are_allocation_free() {
+        // The service owns its buffer pool across runs, so repeated runs
+        // through the one front door lease every host buffer after the
+        // first.
         let data = pseudo_random(512 << 10, 11);
-        let mut engine = ShredderEngine::new(small_config());
-        // Warm-up run: the pool learns the session's buffer shapes.
-        engine.open_session(SliceSource::new(&data));
-        engine.run().unwrap();
-        let warm = engine.buffer_pool().allocations();
+        let mut service = batch(small_config());
+        // Warm-up run: the pool learns the request's buffer shapes.
+        service.submit(ChunkRequest::new(SliceSource::new(&data)));
+        service.run(&Workload::Batch).unwrap();
+        let warm = service.buffer_pool().allocations();
         assert!(warm > 0, "warm-up must have leased something");
-        // Steady state: identical sessions lease everything from the
+        // Steady state: identical requests lease everything from the
         // pool — the hot loop makes zero new allocations.
         for _ in 0..4 {
-            engine.open_session(SliceSource::new(&data));
-            engine.run().unwrap();
+            service.submit(ChunkRequest::new(SliceSource::new(&data)));
+            service.run(&Workload::Batch).unwrap();
         }
         assert_eq!(
-            engine.buffer_pool().allocations(),
+            service.buffer_pool().allocations(),
             warm,
-            "steady-state sessions must not allocate"
+            "steady-state service runs must not allocate"
         );
-        assert!(engine.buffer_pool().recycles() >= 4);
+        assert!(service.buffer_pool().recycles() >= 4);
     }
 
     #[test]
     fn round_robin_interleaves_admissions() {
-        let a = pseudo_random(512 << 10, 7);
-        let b = pseudo_random(512 << 10, 8);
-        let mut engine = ShredderEngine::new(small_config());
-        engine.open_session(SliceSource::new(&a));
-        engine.open_session(SliceSource::new(&b));
-        let out = engine.run().unwrap();
+        let streams = [pseudo_random(512 << 10, 7), pseudo_random(512 << 10, 8)];
+        let out = run_batch(small_config(), &streams);
 
-        // Under round-robin, both sessions start immediately and their
-        // admissions interleave: session 1 is not delayed until session
+        // Under round-robin, both requests start immediately and their
+        // admissions interleave: request 1 is not delayed until request
         // 0 drains.
         let r = &out.report.sessions;
         assert_eq!(r[0].first_admit, SimTime::ZERO);
         assert!(
             r[1].first_admit < r[0].timeline.last().unwrap().read_start,
-            "session 1 first admit {:?} waited for session 0 to finish",
+            "request 1 first admit {:?} waited for request 0 to finish",
             r[1].first_admit
         );
     }
@@ -2329,13 +2123,12 @@ mod tests {
     fn session_order_drains_sequentially() {
         let a = pseudo_random(512 << 10, 9);
         let b = pseudo_random(512 << 10, 10);
-        let mut engine =
-            ShredderEngine::new(small_config()).with_policy(AdmissionPolicy::SessionOrder);
-        engine.open_session(SliceSource::new(&a));
-        engine.open_session(SliceSource::new(&b));
-        let out = engine.run().unwrap();
+        let mut service = batch(small_config()).with_engine_policy(AdmissionPolicy::SessionOrder);
+        service.submit(ChunkRequest::new(SliceSource::new(&a)));
+        service.submit(ChunkRequest::new(SliceSource::new(&b)));
+        let out = service.run(&Workload::Batch).unwrap();
         let r = &out.report.sessions;
-        // All of session 0's buffers are admitted before any of session 1's.
+        // All of request 0's buffers are admitted before any of request 1's.
         let last_a_admit = r[0].timeline.last().unwrap().read_start;
         assert!(r[1].first_admit >= last_a_admit);
     }
@@ -2345,43 +2138,38 @@ mod tests {
         let a = pseudo_random(1 << 20, 11);
         let b = pseudo_random(1 << 20, 12);
         let run = |wa: u32, wb: u32| {
-            let mut engine = ShredderEngine::new(
-                ShredderConfig::gpu_streams_memory().with_buffer_size(64 << 10),
-            )
-            .with_policy(AdmissionPolicy::Weighted);
-            engine.open_named_session("a", wa, SliceSource::new(&a));
-            engine.open_named_session("b", wb, SliceSource::new(&b));
-            let out = engine.run().unwrap();
+            let mut service =
+                batch(ShredderConfig::gpu_streams_memory().with_buffer_size(64 << 10))
+                    .with_engine_policy(AdmissionPolicy::Weighted);
+            service.submit(ChunkRequest::new(SliceSource::new(&a)).with_weight(wa));
+            service.submit(ChunkRequest::new(SliceSource::new(&b)).with_weight(wb));
+            let out = service.run(&Workload::Batch).unwrap();
             out.report.sessions[0].completion
         };
         let even = run(1, 1);
         let favored = run(4, 1);
         assert!(
             favored < even,
-            "weight-4 session should finish earlier: {favored:?} !< {even:?}"
+            "weight-4 request should finish earlier: {favored:?} !< {even:?}"
         );
     }
 
     #[test]
     fn shared_pipeline_beats_sequential_runs() {
-        // N concurrent tenants through one engine finish sooner than the
-        // same N streams run back to back (pipeline fill/drain overlaps
-        // across tenants) — the Figure 12 story under multi-tenancy.
+        // N concurrent tenants through one service finish sooner than
+        // the same N streams run back to back (pipeline fill/drain
+        // overlaps across tenants) — the Figure 12 story under
+        // multi-tenancy.
         let streams: Vec<Vec<u8>> = (0..4).map(|s| pseudo_random(1 << 20, 20 + s)).collect();
         let cfg = ShredderConfig::gpu_streams_memory().with_buffer_size(256 << 10);
 
-        let mut engine = ShredderEngine::new(cfg.clone());
-        for s in &streams {
-            engine.open_session(SliceSource::new(s));
-        }
-        let shared = engine.run().unwrap().report.makespan;
-
+        let shared = run_batch(cfg.clone(), &streams).report.makespan;
         let sequential: Dur = streams
             .iter()
             .map(|s| {
-                let mut e = ShredderEngine::new(cfg.clone());
-                e.open_session(SliceSource::new(s));
-                e.run().unwrap().report.makespan
+                run_batch(cfg.clone(), std::slice::from_ref(s))
+                    .report
+                    .makespan
             })
             .sum();
 
@@ -2397,9 +2185,9 @@ mod tests {
         params.window = 0;
         let cfg = ShredderConfig::gpu_streams_memory().with_params(params);
         let data = pseudo_random(10_000, 13);
-        let mut engine = ShredderEngine::new(cfg);
-        engine.open_session(SliceSource::new(&data));
-        match engine.run() {
+        let mut service = batch(cfg);
+        service.submit(ChunkRequest::new(SliceSource::new(&data)));
+        match service.run(&Workload::Batch) {
             Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains("window")),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
@@ -2407,29 +2195,21 @@ mod tests {
 
     #[test]
     fn empty_engine_and_empty_sessions() {
-        let mut engine = ShredderEngine::new(small_config());
-        let out = engine.run().unwrap();
-        assert!(out.sessions.is_empty());
+        let out = run_batch(small_config(), &[]);
+        assert!(out.requests.is_empty());
         assert_eq!(out.report.bytes, 0);
         assert_eq!(out.report.makespan, Dur::ZERO);
 
-        let mut engine = ShredderEngine::new(small_config());
-        engine.open_session(SliceSource::new(&[]));
-        let out = engine.run().unwrap();
-        assert!(out.sessions[0].chunks.is_empty());
+        let out = run_batch(small_config(), &[Vec::new()]);
+        assert!(chunks(&out)[0].is_empty());
         assert_eq!(out.report.sessions[0].buffers, 0);
     }
 
     #[test]
     fn single_byte_stream() {
-        let mut engine = ShredderEngine::new(small_config());
-        engine.open_session(SliceSource::new(&[42u8]));
-        let out = engine.run().unwrap();
-        assert_eq!(
-            out.sessions[0].chunks,
-            chunk_all(&[42u8], &ChunkParams::paper())
-        );
-        assert_eq!(out.sessions[0].chunks.len(), 1);
+        let out = run_batch(small_config(), &[vec![42u8]]);
+        assert_eq!(chunks(&out)[0], chunk_all(&[42u8], &ChunkParams::paper()));
+        assert_eq!(chunks(&out)[0].len(), 1);
         assert_eq!(out.report.sessions[0].buffers, 1);
         assert_eq!(out.report.bytes, 1);
     }
@@ -2443,15 +2223,9 @@ mod tests {
         assert!(params.window > 2, "test needs a window > 2");
         for len in [1usize, 2, params.window - 1] {
             let data = pseudo_random(len, 90 + len as u64);
-            let mut engine = ShredderEngine::new(small_config());
-            engine.open_session(SliceSource::new(&data));
-            let out = engine.run().unwrap();
-            assert_eq!(
-                out.sessions[0].chunks,
-                chunk_all(&data, &params),
-                "len {len}"
-            );
-            assert_eq!(out.sessions[0].chunks.len(), 1, "len {len}");
+            let out = run_batch(small_config(), std::slice::from_ref(&data));
+            assert_eq!(chunks(&out)[0], chunk_all(&data, &params), "len {len}");
+            assert_eq!(chunks(&out)[0].len(), 1, "len {len}");
         }
     }
 
@@ -2471,14 +2245,8 @@ mod tests {
         ] {
             let len = (buffer as i64 + delta) as usize;
             let data = pseudo_random(len, 200 + delta.unsigned_abs());
-            let mut engine = ShredderEngine::new(cfg.clone());
-            engine.open_session(SliceSource::new(&data));
-            let out = engine.run().unwrap();
-            assert_eq!(
-                out.sessions[0].chunks,
-                chunk_all(&data, &params),
-                "len {len}"
-            );
+            let out = run_batch(cfg.clone(), std::slice::from_ref(&data));
+            assert_eq!(chunks(&out)[0], chunk_all(&data, &params), "len {len}");
         }
     }
 
@@ -2486,26 +2254,26 @@ mod tests {
     fn engine_run_is_deterministic() {
         let streams: Vec<Vec<u8>> = (0..4).map(|s| pseudo_random(400_000, 40 + s)).collect();
         let run = || {
-            let mut engine = ShredderEngine::new(small_config());
+            let mut service = batch(small_config());
             for (i, s) in streams.iter().enumerate() {
-                engine.open_named_session(format!("t{i}"), 1 + i as u32, SliceSource::new(s));
+                service.submit(
+                    ChunkRequest::new(SliceSource::new(s))
+                        .named(format!("t{i}"))
+                        .with_weight(1 + i as u32),
+                );
             }
-            engine.run().unwrap()
+            service.run(&Workload::Batch).unwrap()
         };
         let a = run();
         let b = run();
         assert_eq!(a.report, b.report);
-        assert_eq!(a.sessions, b.sessions);
+        assert_eq!(chunks(&a), chunks(&b));
     }
 
     #[test]
     fn timelines_causally_ordered_per_session() {
         let streams: Vec<Vec<u8>> = (0..3).map(|s| pseudo_random(600_000, 60 + s)).collect();
-        let mut engine = ShredderEngine::new(small_config());
-        for s in &streams {
-            engine.open_session(SliceSource::new(s));
-        }
-        let out = engine.run().unwrap();
+        let out = run_batch(small_config(), &streams);
         for r in &out.report.sessions {
             assert_eq!(r.timeline.len(), r.buffers);
             for t in &r.timeline {
@@ -2523,17 +2291,22 @@ mod tests {
     #[test]
     fn session_ids_and_names_round_trip() {
         let data = pseudo_random(64 << 10, 70);
-        let mut engine = ShredderEngine::new(small_config());
-        let id0 = engine.open_named_session("alpha", 2, SliceSource::new(&data));
-        let id1 = engine.open_session(SliceSource::new(&data));
+        let mut service = batch(small_config());
+        let id0 = service.submit(
+            ChunkRequest::new(SliceSource::new(&data))
+                .named("alpha")
+                .with_weight(2),
+        );
+        let id1 = service.submit(ChunkRequest::new(SliceSource::new(&data)));
         assert_eq!(id0.index(), 0);
         assert_eq!(id1.index(), 1);
-        assert_eq!(engine.session_count(), 2);
-        let out = engine.run().unwrap();
-        assert_eq!(out.sessions[0].name, "alpha");
+        assert_eq!(service.request_count(), 2);
+        let out = service.run(&Workload::Batch).unwrap();
+        assert_eq!(out.requests[0].outcome.as_ref().unwrap().name, "alpha");
         assert_eq!(out.report.sessions[0].weight, 2);
-        assert_eq!(out.sessions[1].name, "session-1");
-        assert_eq!(engine.session_count(), 0, "run consumes sessions");
+        assert_eq!(out.requests[1].outcome.as_ref().unwrap().name, "request-1");
+        assert_eq!(out.report.sessions[1].id, 1);
+        assert_eq!(service.request_count(), 0, "run consumes requests");
     }
 
     #[test]
@@ -2544,12 +2317,8 @@ mod tests {
             .enumerate()
             .map(|(i, &n)| pseudo_random(n, 300 + i as u64))
             .collect();
-        let mut engine = ShredderEngine::new(small_config().with_gpus(2));
-        for s in &streams {
-            engine.open_session(SliceSource::new(s));
-        }
-        let out = engine.run().unwrap();
-        // Open order: s0→d0, s1→d1, s2→d1 (400k < 800k), s3→d1 (700k).
+        let out = run_batch(small_config().with_gpus(2), &streams);
+        // Submit order: s0→d0, s1→d1, s2→d1 (400k < 800k), s3→d1 (700k).
         let devs: Vec<usize> = out.report.sessions.iter().map(|r| r.device).collect();
         assert_eq!(devs, vec![0, 1, 1, 1]);
         assert_eq!(out.report.devices.len(), 2);
@@ -2565,15 +2334,10 @@ mod tests {
     #[test]
     fn round_robin_placement_rotates() {
         let streams: Vec<Vec<u8>> = (0..5).map(|s| pseudo_random(200_000, 320 + s)).collect();
-        let mut engine = ShredderEngine::new(
-            small_config()
-                .with_gpus(3)
-                .with_placement(PlacementPolicy::RoundRobin),
-        );
-        for s in &streams {
-            engine.open_session(SliceSource::new(s));
-        }
-        let out = engine.run().unwrap();
+        let cfg = small_config()
+            .with_gpus(3)
+            .with_placement(PlacementPolicy::RoundRobin);
+        let out = run_batch(cfg, &streams);
         let devs: Vec<usize> = out.report.sessions.iter().map(|r| r.device).collect();
         assert_eq!(devs, vec![0, 1, 2, 0, 1]);
     }
@@ -2583,40 +2347,44 @@ mod tests {
         let a = pseudo_random(300_000, 330);
         let b = pseudo_random(300_000, 331);
         let c = pseudo_random(300_000, 332);
-        let mut engine = ShredderEngine::new(
+        let mut service = batch(
             small_config()
                 .with_gpus(2)
                 .with_placement(PlacementPolicy::Pinned),
         );
-        engine.open_pinned_session("pinned-1", 1, 1, SliceSource::new(&a));
-        engine.open_pinned_session("pinned-also-1", 1, 1, SliceSource::new(&b));
+        service.submit(ChunkRequest::new(SliceSource::new(&a)).pinned_to(1));
+        service.submit(ChunkRequest::new(SliceSource::new(&b)).pinned_to(1));
         // Unpinned under the Pinned policy falls back to least-loaded:
         // device 0 carries no bytes yet.
-        engine.open_named_session("free", 1, SliceSource::new(&c));
-        let out = engine.run().unwrap();
+        service.submit(ChunkRequest::new(SliceSource::new(&c)));
+        let out = service.run(&Workload::Batch).unwrap();
         let devs: Vec<usize> = out.report.sessions.iter().map(|r| r.device).collect();
         assert_eq!(devs, vec![1, 1, 0]);
         // Chunks are still bit-identical per stream.
-        for (session, data) in out.sessions.iter().zip([&a, &b, &c]) {
-            assert_eq!(session.chunks, chunk_all(data, &ChunkParams::paper()));
+        for (got, data) in chunks(&out).into_iter().zip([&a, &b, &c]) {
+            assert_eq!(got, chunk_all(data, &ChunkParams::paper()));
         }
     }
 
     #[test]
     fn pin_out_of_range_is_rejected() {
         let data = pseudo_random(10_000, 340);
-        let mut engine = ShredderEngine::new(small_config().with_gpus(2));
-        engine.open_named_session("good", 1, SliceSource::new(&data));
-        engine.open_pinned_session("bad", 1, 2, SliceSource::new(&data));
-        match engine.run() {
+        let mut service = batch(small_config().with_gpus(2));
+        service.submit(ChunkRequest::new(SliceSource::new(&data)).named("good"));
+        service.submit(
+            ChunkRequest::new(SliceSource::new(&data))
+                .named("bad")
+                .pinned_to(2),
+        );
+        match service.run(&Workload::Batch) {
             Err(ChunkError::InvalidConfig(msg)) => {
                 assert!(msg.contains("pinned to device 2"), "{msg}")
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-        // The failed validation must not consume the queued sessions
+        // The failed validation must not consume the queued requests
         // (the window/gpus error paths leave them intact too).
-        assert_eq!(engine.session_count(), 2);
+        assert_eq!(service.request_count(), 2);
     }
 
     #[test]
@@ -2629,9 +2397,7 @@ mod tests {
             if let Some(s) = slots {
                 cfg = cfg.with_ring_slots(s);
             }
-            let mut engine = ShredderEngine::new(cfg);
-            engine.open_session(SliceSource::new(&data));
-            engine.run().unwrap().report.makespan
+            run_batch(cfg, std::slice::from_ref(&data)).report.makespan
         };
         let roomy = run(None);
         let starved = run(Some(1));
@@ -2647,11 +2413,7 @@ mod tests {
                 .with_reader_bandwidth(32e9)
                 .with_gpus(gpus)
                 .with_pipeline_depth(4 * gpus);
-            let mut engine = ShredderEngine::new(cfg);
-            for s in &streams {
-                engine.open_session(SliceSource::new(s));
-            }
-            engine.run().unwrap()
+            run_batch(cfg, &streams)
         };
         let one = run(1);
         let two = run(2);
@@ -2662,9 +2424,7 @@ mod tests {
             one.report.aggregate_gbps()
         );
         // Identical chunks under both pool sizes.
-        for (a, b) in one.sessions.iter().zip(&two.sessions) {
-            assert_eq!(a.chunks, b.chunks);
-        }
+        assert_eq!(chunks(&one), chunks(&two));
         // Both devices genuinely worked and overlapped copy with compute.
         for d in &two.report.devices {
             assert!(
@@ -2680,25 +2440,17 @@ mod tests {
     #[test]
     fn multi_gpu_run_is_deterministic() {
         let streams: Vec<Vec<u8>> = (0..5).map(|s| pseudo_random(500_000, 370 + s)).collect();
-        let run = || {
-            let mut engine = ShredderEngine::new(small_config().with_gpus(3));
-            for (i, s) in streams.iter().enumerate() {
-                engine.open_named_session(format!("t{i}"), 1, SliceSource::new(s));
-            }
-            engine.run().unwrap()
-        };
+        let run = || run_batch(small_config().with_gpus(3), &streams);
         let a = run();
         let b = run();
         assert_eq!(a.report, b.report);
-        assert_eq!(a.sessions, b.sessions);
+        assert_eq!(chunks(&a), chunks(&b));
     }
 
     #[test]
     fn single_device_report_covers_all_work() {
         let data = pseudo_random(1 << 20, 380);
-        let mut engine = ShredderEngine::new(small_config());
-        engine.open_session(SliceSource::new(&data));
-        let out = engine.run().unwrap();
+        let out = run_batch(small_config(), std::slice::from_ref(&data));
         assert_eq!(out.report.devices.len(), 1);
         let d = &out.report.devices[0];
         assert_eq!(d.sessions, 1);
@@ -2713,11 +2465,7 @@ mod tests {
     #[test]
     fn aggregate_accounting_is_conserved() {
         let streams: Vec<Vec<u8>> = (0..3).map(|s| pseudo_random(256 << 10, 80 + s)).collect();
-        let mut engine = ShredderEngine::new(small_config());
-        for s in &streams {
-            engine.open_session(SliceSource::new(s));
-        }
-        let out = engine.run().unwrap();
+        let out = run_batch(small_config(), &streams);
         let by_session: u64 = out.report.sessions.iter().map(|r| r.bytes).sum();
         assert_eq!(out.report.bytes, by_session);
         let buffers: usize = out.report.sessions.iter().map(|r| r.buffers).sum();

@@ -1,13 +1,17 @@
 //! The online service frontend: requests, tenants, arrivals, SLOs.
 //!
-//! The closed-batch engine API ([`ShredderEngine::run`]) opens every
-//! session up front and drives them all to completion — it can report
-//! makespan and throughput but never *request latency under load*,
-//! because nothing ever arrives while the system is busy. A
-//! [`ShredderService`] turns the same engine into a long-lived service:
+//! [`ShredderService`] is the one front door to the multi-stream
+//! engine: every chunking job in the workspace — a one-shot
+//! [`Shredder`](crate::Shredder) call, a backup batch, an Inc-HDFS
+//! upload, a fleet node — is a set of requests run through it. A
+//! closed batch (every request at `t = 0`, unbounded admission) can
+//! report makespan and throughput but never *request latency under
+//! load*, because nothing arrives while the system is busy; the service
+//! therefore runs its requests as a long-lived service:
 //!
 //! 1. requests ([`ChunkRequest`]: a stream source, an optional sink,
-//!    a tenant class) are submitted up front, but *arrive* inside the
+//!    a tenant class, an optional device pin) are submitted up front,
+//!    but *arrive* inside the
 //!    discrete-event simulation according to a pluggable
 //!    [`Workload`] — open-loop Poisson at a target rate, closed-loop
 //!    with N clients and think time, trace replay, or the degenerate
@@ -28,6 +32,11 @@
 //! [`capacity_search`] bisects the Poisson rate for the highest
 //! sustained load that still meets a p99 latency SLO.
 //!
+//! The closed batch is [`Workload::Batch`] with
+//! [`AdmissionControl::unbounded`]: nothing queues at the service level
+//! and nothing is shed, so every request completes with the chunks of a
+//! sequential scan of its stream.
+//!
 //! # Examples
 //!
 //! An open-loop Poisson run with a p99 readout:
@@ -47,12 +56,13 @@
 //! ```
 
 use shredder_des::Dur;
+use shredder_rabin::Chunk;
 
+use crate::bufpool::BufferPool;
 use crate::config::ShredderConfig;
-use crate::engine::{AdmissionPolicy, ClassRuntime, ShredderEngine};
+use crate::engine::{AdmissionPolicy, ChunkSession, ShredderEngine};
 use crate::error::ChunkError;
 use crate::report::{EngineReport, ServiceReport};
-use crate::session::SessionOutcome;
 use crate::sink::ChunkSink;
 use crate::source::StreamSource;
 use crate::workload::{AdmissionControl, TenantClass, Workload};
@@ -77,11 +87,12 @@ impl std::fmt::Display for RequestId {
 }
 
 /// One chunking request: a stream source plus an optional downstream
-/// sink and a tenant identity.
+/// sink, a tenant identity and an optional device pin.
 pub struct ChunkRequest<'a> {
     name: Option<String>,
     class: Option<String>,
     weight: u32,
+    pin: Option<usize>,
     source: Box<dyn StreamSource + 'a>,
     sink: Option<Box<dyn ChunkSink + 'a>>,
 }
@@ -93,6 +104,7 @@ impl<'a> ChunkRequest<'a> {
             name: None,
             class: None,
             weight: 1,
+            pin: None,
             source: Box::new(source),
             sink: None,
         }
@@ -120,6 +132,15 @@ impl<'a> ChunkRequest<'a> {
         self
     }
 
+    /// Pins the request to one pool device: its buffers run on `device`
+    /// regardless of the configured
+    /// [`PlacementPolicy`](crate::PlacementPolicy). The pin is checked
+    /// against the pool size at [`run`](ShredderService::run).
+    pub fn pinned_to(mut self, device: usize) -> Self {
+        self.pin = Some(device);
+        self
+    }
+
     /// Attaches a downstream sink: its stages run inside the shared
     /// simulation once the request is dispatched. Pass `&mut sink` to
     /// keep ownership and read the functional results after the run
@@ -137,9 +158,20 @@ impl std::fmt::Debug for ChunkRequest<'_> {
             .field("name", &self.name)
             .field("class", &self.class)
             .field("weight", &self.weight)
+            .field("pin", &self.pin)
             .field("sink", &self.sink.is_some())
             .finish_non_exhaustive()
     }
+}
+
+/// A completed request's chunks, in stream order, bit-identical to a
+/// sequential scan of its stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionOutcome {
+    /// The request's name.
+    pub name: String,
+    /// The chunks, tiling the request's stream in order.
+    pub chunks: Vec<Chunk>,
 }
 
 /// One request's result: its chunks (bit-identical to a sequential
@@ -161,8 +193,7 @@ pub struct RequestResult {
 pub struct ServiceOutcome {
     /// Per-request results, in submit order.
     pub requests: Vec<RequestResult>,
-    /// The engine report; [`EngineReport::service`] is always `Some`
-    /// on this path.
+    /// The engine report, service accounting included.
     pub report: EngineReport,
 }
 
@@ -170,11 +201,7 @@ impl ServiceOutcome {
     /// The service-level report (offered/achieved load, queue depth,
     /// per-class latency percentiles).
     pub fn service(&self) -> &ServiceReport {
-        self.report
-            .service
-            .as_ref()
-            // shredder-lint: allow(R5) — run_service always fills `report.service`; ServiceOutcome is constructed nowhere else
-            .expect("service runs always produce a ServiceReport")
+        &self.report.service
     }
 
     /// The completed requests' outcomes, in submit order.
@@ -188,14 +215,15 @@ impl ServiceOutcome {
 /// The long-lived online chunking service: submit requests, then run
 /// them under an arrival [`Workload`] through bounded admission.
 ///
-/// The closed-batch [`ShredderEngine::run`] path is exactly this
-/// service run with [`Workload::Batch`] and unbounded admission.
+/// A closed batch is a run with [`Workload::Batch`] and
+/// [`AdmissionControl::unbounded`].
 pub struct ShredderService<'a> {
     config: ShredderConfig,
     engine_policy: AdmissionPolicy,
     control: AdmissionControl,
     classes: Vec<TenantClass>,
     requests: Vec<ChunkRequest<'a>>,
+    pool: BufferPool,
 }
 
 impl<'a> ShredderService<'a> {
@@ -209,6 +237,7 @@ impl<'a> ShredderService<'a> {
             control: AdmissionControl::default(),
             classes: vec![TenantClass::new("default")],
             requests: Vec::new(),
+            pool: BufferPool::new(),
         }
     }
 
@@ -244,6 +273,15 @@ impl<'a> ShredderService<'a> {
         &self.control
     }
 
+    /// The buffer pool backing the engine's host-side scan and retention
+    /// buffers, kept across [`run`](Self::run)s. After the first run of
+    /// a given request shape every buffer is leased from here: the
+    /// pool's allocation counter staying flat across runs is the
+    /// steady-state zero-allocation property.
+    pub fn buffer_pool(&self) -> &BufferPool {
+        &self.pool
+    }
+
     /// Requests submitted and not yet run.
     pub fn request_count(&self) -> usize {
         self.requests.len()
@@ -263,43 +301,60 @@ impl<'a> ShredderService<'a> {
     ///
     /// # Errors
     ///
-    /// [`ChunkError::InvalidConfig`] for unusable configurations or a
-    /// request naming an undefined tenant class; [`ChunkError::Gpu`] if
-    /// a kernel launch fails. Per-request
+    /// [`ChunkError::InvalidConfig`] for unusable configurations, a
+    /// request naming an undefined tenant class or a request pinned to a
+    /// device outside the pool (the submitted requests stay queued);
+    /// [`ChunkError::Gpu`] if a kernel launch fails. Per-request
     /// [`ChunkError::Overloaded`] rejections are *not* run errors —
     /// they come back inside [`ServiceOutcome::requests`].
     pub fn run(&mut self, workload: &Workload) -> Result<ServiceOutcome, ChunkError> {
-        // Validate the config and resolve every class name *before*
-        // consuming the submitted requests, so a typo'd class (or a bad
-        // config field) leaves the queue intact for a corrected re-run.
+        // Validate the config, resolve every class name and check every
+        // pin *before* consuming the submitted requests, so a typo'd
+        // class (or a bad config field) leaves the queue intact for a
+        // corrected re-run.
         self.config.validate()?;
         let class_indices: Vec<usize> = self
             .requests
             .iter()
             .enumerate()
-            .map(|(i, request)| match &request.class {
-                Some(name) => self
-                    .classes
-                    .iter()
-                    .position(|c| &c.name == name)
-                    .ok_or_else(|| {
-                        ChunkError::InvalidConfig(format!(
-                            "request {i} uses undefined tenant class '{name}'"
-                        ))
-                    }),
-                None => Ok(0),
+            .map(|(i, request)| {
+                if let Some(pin) = request.pin.filter(|&pin| pin >= self.config.gpus) {
+                    return Err(ChunkError::InvalidConfig(format!(
+                        "request {i} pinned to device {pin}, but the pool has {} device(s)",
+                        self.config.gpus
+                    )));
+                }
+                match &request.class {
+                    Some(name) => self
+                        .classes
+                        .iter()
+                        .position(|c| &c.name == name)
+                        .ok_or_else(|| {
+                            ChunkError::InvalidConfig(format!(
+                                "request {i} uses undefined tenant class '{name}'"
+                            ))
+                        }),
+                    None => Ok(0),
+                }
             })
             .collect::<Result<_, _>>()?;
 
-        let requests = std::mem::take(&mut self.requests);
-        let mut engine = ShredderEngine::new(self.config.clone()).with_policy(self.engine_policy);
-        for ((i, request), class) in requests.into_iter().enumerate().zip(class_indices) {
-            let name = request.name.unwrap_or_else(|| format!("request-{i}"));
-            engine.open_service_session(name, request.weight, class, request.source, request.sink);
-        }
-
-        let classes: Vec<ClassRuntime> = self.classes.iter().map(ClassRuntime::from).collect();
-        let run = engine.run_with_workload(workload, self.control, classes, true)?;
+        let sessions = std::mem::take(&mut self.requests)
+            .into_iter()
+            .enumerate()
+            .zip(class_indices)
+            .map(|((i, request), class)| ChunkSession {
+                name: request.name.unwrap_or_else(|| format!("request-{i}")),
+                weight: request.weight,
+                class,
+                pin: request.pin,
+                source: request.source,
+                sink: request.sink,
+            })
+            .collect();
+        let engine =
+            ShredderEngine::new(self.config.clone(), self.engine_policy, self.pool.clone());
+        let run = engine.run_with_workload(sessions, workload, self.control, &self.classes)?;
         let requests = run
             .outcomes
             .into_iter()
@@ -481,6 +536,36 @@ mod tests {
         match service.run(&Workload::Batch) {
             Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains("missing"), "{msg}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_or_non_finite_hardware_fields_are_rejected_not_panicking() {
+        // Unvalidated, each of these panics inside the device pool or the
+        // kernel cost model; a run must reject it with a typed error and
+        // leave the request queued.
+        type Break = fn(&mut ShredderConfig);
+        let cases: [(&str, Break); 9] = [
+            ("twin_buffers", |c| c.twin_buffers = 0),
+            ("sms", |c| c.device.sms = 0),
+            ("sps_per_sm", |c| c.device.sps_per_sm = 0),
+            ("clock_hz", |c| c.device.clock_hz = 0.0),
+            ("clock_hz", |c| c.device.clock_hz = f64::NAN),
+            ("mem_bandwidth", |c| c.device.mem_bandwidth = 0.0),
+            ("txn_bytes_coalesced", |c| c.device.txn_bytes_coalesced = 0),
+            ("dram_banks", |c| c.device.dram_banks = 0),
+            ("dram_row_bytes", |c| c.device.dram_row_bytes = 0),
+        ];
+        for (field, break_it) in cases {
+            let mut config = small_config();
+            break_it(&mut config);
+            let mut service = ShredderService::new(config);
+            service.submit(ChunkRequest::new(MemorySource::pseudo_random(100_000, 1)));
+            match service.run(&Workload::Batch) {
+                Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+            assert_eq!(service.request_count(), 1, "{field}: request consumed");
         }
     }
 

@@ -9,13 +9,14 @@
 
 use shredder_des::Dur;
 use shredder_gpu::calibration;
-use shredder_rabin::{Chunk, ParallelChunker};
+use shredder_rabin::ParallelChunker;
 
 use crate::bufpool::BufferPool;
 use crate::config::HostChunkerConfig;
 use crate::error::ChunkError;
 use crate::report::{HostReport, Report};
 use crate::service::ChunkingService;
+use crate::sink::{run_sink_after_chunking, ChunkSink, SinkOutcome};
 use crate::source::StreamSource;
 
 /// The host-only (CPU) chunking engine.
@@ -87,14 +88,37 @@ impl HostChunker {
         let sync = Dur::from_micros(50) * self.config.threads as u64;
         Dur::from_bytes_at(bytes, self.effective_bandwidth()) + sync
     }
+
+    /// Chunks a resident stream, then runs the sink behind it: the
+    /// sink's functional pass sees every chunk in order, and its stages
+    /// are pipelined behind a chunker running at this configuration's
+    /// rate (batched at
+    /// [`SinkPipelineHints::granularity`](crate::SinkPipelineHints)),
+    /// so downstream stages still overlap chunking in simulated time.
+    fn chunk_resident(
+        &self,
+        data: &[u8],
+        sink: &mut dyn ChunkSink,
+        ingest_bw: Option<f64>,
+    ) -> SinkOutcome {
+        let chunks = self.chunker.chunk(data);
+        let report = Report::Host(HostReport {
+            bytes: data.len() as u64,
+            threads: self.config.threads,
+            allocator: self.config.allocator.to_string(),
+            makespan: self.chunk_time(data.len() as u64),
+        });
+        run_sink_after_chunking(data, &chunks, report, sink, ingest_bw)
+    }
 }
 
 impl ChunkingService for HostChunker {
-    fn chunk_source_with(
+    fn chunk_source_sink(
         &self,
         source: &mut dyn StreamSource,
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
+        sink: &mut dyn ChunkSink,
+        ingest_bw: Option<f64>,
+    ) -> Result<SinkOutcome, ChunkError> {
         // The pthreads baseline materializes the stream before its SPMD
         // region split (§5.1 operates on a resident buffer). Both the
         // stream and the read scratch are pooled leases, so repeat
@@ -110,23 +134,16 @@ impl ChunkingService for HostChunker {
             }
             data.extend_from_slice(&buf[..n]);
         }
-        self.chunk_stream_with(&data, upcall)
+        Ok(self.chunk_resident(&data, sink, ingest_bw))
     }
 
-    fn chunk_stream_with(
+    /// An in-memory stream is already resident: no materialization.
+    fn chunk_stream_sink(
         &self,
         data: &[u8],
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
-        for chunk in self.chunker.chunk(data) {
-            upcall(chunk);
-        }
-        Ok(Report::Host(HostReport {
-            bytes: data.len() as u64,
-            threads: self.config.threads,
-            allocator: self.config.allocator.to_string(),
-            makespan: self.chunk_time(data.len() as u64),
-        }))
+        sink: &mut dyn ChunkSink,
+    ) -> Result<SinkOutcome, ChunkError> {
+        Ok(self.chunk_resident(data, sink, None))
     }
 
     fn service_name(&self) -> String {
@@ -163,15 +180,26 @@ mod tests {
 
     #[test]
     fn materialization_is_allocation_free_in_steady_state() {
+        use crate::sink::UpcallSink;
         use crate::source::SliceSource;
         let data = pseudo_random(768 << 10, 9);
         let chunker = HostChunker::with_defaults();
+        let run = || {
+            let mut upcall = |_| {};
+            chunker
+                .chunk_source_sink(
+                    &mut SliceSource::new(&data),
+                    &mut UpcallSink::new(&mut upcall),
+                    None,
+                )
+                .unwrap();
+        };
         // Warm-up call leases (and so allocates) the stream and scratch
         // buffers; every repeat call reuses them.
-        chunker.chunk_source(&mut SliceSource::new(&data)).unwrap();
+        run();
         let warm = chunker.buffer_pool().allocations();
         for _ in 0..5 {
-            chunker.chunk_source(&mut SliceSource::new(&data)).unwrap();
+            run();
         }
         assert_eq!(
             chunker.buffer_pool().allocations(),

@@ -2,22 +2,37 @@
 //!
 //! This crate assembles the substrates (Rabin chunking, the GPU model,
 //! the DES kernel) into the system of the paper's §3–§5, extended from a
-//! one-shot slice API into a **session-based multi-stream engine**:
+//! one-shot slice API into a **multi-stream online service** with one
+//! front door:
 //!
+//! * [`frontend`] / [`workload`] — [`ShredderService`], the one way into
+//!   the engine. Submitted [`ChunkRequest`]s (a [`StreamSource`], an
+//!   optional [`ChunkSink`], a [`TenantClass`], an optional device pin)
+//!   run under a pluggable arrival [`Workload`] (open-loop Poisson,
+//!   closed-loop clients + think time, trace replay, or the closed
+//!   batch), through an explicit bounded admission queue
+//!   ([`AdmissionControl`]: FIFO / per-tenant fair share / weighted
+//!   share, with load shedding via [`ChunkError::Overloaded`]). Every
+//!   request gets arrival → admit → first-chunk → done timestamps, and
+//!   the [`EngineReport`] carries a [`ServiceReport`] (offered vs.
+//!   achieved req/s and GB/s, queue-depth timeline, per-class latency
+//!   p50/p95/p99/max); [`capacity_search`] bisects the highest sustained
+//!   Poisson rate meeting a p99 SLO. A closed batch is
+//!   [`Workload::Batch`] with [`AdmissionControl::unbounded`].
+//! * [`engine`] — the engine behind the service: every request's
+//!   buffers scheduled through **one shared** discrete-event pipeline
+//!   (one SAN reader, one Store thread) under round-robin / weighted /
+//!   submit-order buffer admission ([`AdmissionPolicy`]), sharded across
+//!   a **device pool** (`gpus = N` in [`ShredderConfig`]) by a
+//!   [`PlacementPolicy`] (least-loaded, round-robin, or pinned). Each
+//!   pool device has its own twin-buffer lanes, pinned staging ring
+//!   (held as a DES resource — exhaustion backpressures admission) and
+//!   event-chained copy–compute overlap, reported per device in
+//!   [`EngineReport::devices`] (utilization + overlap fraction).
 //! * [`config`] — [`ShredderConfig`] with presets matching the Figure 12
 //!   systems: `gpu_basic()` (§3.1), `gpu_streams()` (double buffering +
 //!   pinned ring + 4-stage pipeline, §4.1–§4.2) and
 //!   `gpu_streams_memory()` (adds the coalesced kernel, §4.3).
-//! * [`engine`] — the [`ShredderEngine`]: N concurrent [`ChunkSession`]s
-//!   scheduled through **one shared** discrete-event pipeline (one SAN
-//!   reader, one Store thread) under round-robin / weighted /
-//!   session-order admission, sharded across a **device pool**
-//!   (`gpus = N` in [`ShredderConfig`]) by a [`PlacementPolicy`]
-//!   (least-loaded, round-robin, or pinned). Each pool device has its
-//!   own twin-buffer lanes, pinned staging ring (held as a DES resource
-//!   — exhaustion backpressures admission) and event-chained
-//!   copy–compute overlap, reported per device in
-//!   [`EngineReport::devices`] (utilization + overlap fraction).
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   of device deaths and stragglers replayed as ordinary DES events
 //!   (dead devices requeue their in-flight buffers to survivors;
@@ -26,40 +41,24 @@
 //! * [`source`] — [`StreamSource`] ingestion ([`SliceSource`],
 //!   [`MemorySource`]): streams feed the engine one pipeline buffer at a
 //!   time instead of as a fully-materialized slice.
-//! * [`session`] / [`report`] — per-stream [`SessionReport`]s (makespan,
+//! * [`report`] — per-request [`SessionReport`]s (makespan,
 //!   queueing/contention time, per-buffer timeline) inside an aggregate
 //!   [`EngineReport`] (aggregate GB/s over the shared makespan).
 //! * [`sink`] — the **staged sink API**: a [`ChunkSink`] attaches typed
 //!   downstream stages ([`FingerprintStage`], [`DedupStage`],
-//!   [`ShipStage`], [`StoreStage`]) to a session; the stages execute
+//!   [`ShipStage`], [`StoreStage`]) to a request; the stages execute
 //!   *inside* the shared simulation with their own service times,
 //!   queues and backpressure onto the kernel FIFO, reported per stage
-//!   in the [`EngineReport`]. This replaces the old
-//!   collect-then-postprocess consumer pattern. [`StoreSink`] commits
-//!   chunks and snapshot manifests into the versioned
-//!   [`shredder_store::ChunkStore`] in-simulation, making each session
-//!   one new restorable generation.
-//! * [`frontend`] / [`workload`] — the **online service frontend**:
-//!   [`ShredderService`] runs submitted [`ChunkRequest`]s under a
-//!   pluggable arrival [`Workload`] (open-loop Poisson, closed-loop
-//!   clients + think time, trace replay, or the degenerate batch),
-//!   through an explicit bounded admission queue ([`AdmissionControl`]:
-//!   FIFO / per-tenant fair share / weighted share across
-//!   [`TenantClass`]es, with load shedding via
-//!   [`ChunkError::Overloaded`]). Every request gets arrival → admit →
-//!   first-chunk → done timestamps, and the [`EngineReport`] grows a
-//!   [`ServiceReport`] (offered vs. achieved req/s and GB/s,
-//!   queue-depth timeline, per-class latency p50/p95/p99/max);
-//!   [`capacity_search`] bisects the highest sustained Poisson rate
-//!   meeting a p99 SLO. The legacy `open_*_session` + `run()` path *is*
-//!   the batch workload with unbounded admission — chunks and digests
-//!   are bit-identical.
-//! * [`pipeline`] — the legacy single-stream [`Shredder`] service, now a
-//!   thin one-session convenience over the engine.
+//!   in the [`EngineReport`]. [`StoreSink`] commits chunks and snapshot
+//!   manifests into the versioned [`shredder_store::ChunkStore`]
+//!   in-simulation, making each request one new restorable generation.
+//! * [`pipeline`] — [`Shredder`], the one-shot helper: each call is one
+//!   request run through a private service as an unbounded batch.
 //! * [`host_chunker`] — the host-only pthreads baseline of §5.1.
 //! * [`service`] — the fallible [`ChunkingService`] trait the case
 //!   studies (Inc-HDFS, cloud backup) program against; its upcall-style
-//!   boundary delivery of §3.1 is the degenerate (stage-less) sink.
+//!   boundary delivery of §3.1 is the degenerate (stage-less)
+//!   [`UpcallSink`].
 //!
 //! Everywhere, chunk boundaries are **real** (computed by the shared
 //! Rabin tables over the actual bytes, identical across every engine and
@@ -68,24 +67,27 @@
 //!
 //! # Examples
 //!
-//! Multi-tenant chunking through one engine:
+//! Multi-tenant chunking through one service, as a closed batch:
 //!
 //! ```
-//! use shredder_core::{ShredderConfig, ShredderEngine, SliceSource};
+//! use shredder_core::{
+//!     AdmissionControl, ChunkRequest, ShredderConfig, ShredderService, SliceSource, Workload,
+//! };
 //!
 //! let site_a: Vec<u8> = (0..1u32 << 19).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
 //! let site_b: Vec<u8> = (0..1u32 << 19).map(|i| (i.wrapping_mul(2654435761) >> 7) as u8).collect();
 //!
-//! let mut engine =
-//!     ShredderEngine::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10));
-//! engine.open_named_session("site-a", 1, SliceSource::new(&site_a));
-//! engine.open_named_session("site-b", 1, SliceSource::new(&site_b));
+//! let mut service =
+//!     ShredderService::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10))
+//!         .with_admission(AdmissionControl::unbounded());
+//! service.submit(ChunkRequest::new(SliceSource::new(&site_a)).named("site-a"));
+//! service.submit(ChunkRequest::new(SliceSource::new(&site_b)).named("site-b"));
 //!
-//! let outcome = engine.run().unwrap();
-//! assert_eq!(outcome.sessions.len(), 2);
+//! let outcome = service.run(&Workload::Batch).unwrap();
+//! assert_eq!(outcome.completed().count(), 2);
 //! // Both tenants' chunks tile their own stream.
-//! for (session, data) in outcome.sessions.iter().zip([&site_a, &site_b]) {
-//!     assert_eq!(session.chunks.iter().map(|c| c.len).sum::<usize>(), data.len());
+//! for ((_, request), data) in outcome.completed().zip([&site_a, &site_b]) {
+//!     assert_eq!(request.chunks.iter().map(|c| c.len).sum::<usize>(), data.len());
 //! }
 //! println!("aggregate: {:.2} GB/s", outcome.report.aggregate_gbps());
 //! ```
@@ -128,7 +130,7 @@
 //! assert!(outcome.makespan >= outcome.report.makespan());
 //! ```
 //!
-//! The single-stream convenience (identical boundaries, one session):
+//! The one-shot helper (identical boundaries, one request):
 //!
 //! ```
 //! use shredder_core::{ChunkingService, HostChunker, Shredder, ShredderConfig};
@@ -158,19 +160,18 @@ pub mod host_chunker;
 pub mod pipeline;
 pub mod report;
 pub mod service;
-pub mod session;
 pub mod sink;
 pub mod source;
 pub mod workload;
 
 pub use bufpool::{BufferPool, PooledBuf};
 pub use config::{Allocator, HostChunkerConfig, ShredderConfig};
-pub use engine::{AdmissionPolicy, EngineOutcome, PlacementPolicy, ShredderEngine};
+pub use engine::{AdmissionPolicy, PlacementPolicy};
 pub use error::ChunkError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultReport};
 pub use frontend::{
     capacity_search, CapacityReport, CapacityTrial, ChunkRequest, RequestId, RequestResult,
-    ServiceOutcome, ShredderService,
+    ServiceOutcome, SessionOutcome, ShredderService,
 };
 pub use host_chunker::HostChunker;
 pub use pipeline::Shredder;
@@ -179,7 +180,6 @@ pub use report::{
     RequestReport, ServiceReport, SessionReport, StageBusy, StageReport,
 };
 pub use service::{ChunkOutcome, ChunkingService};
-pub use session::{ChunkSession, SessionId, SessionOutcome};
 pub use sink::{
     ChunkSink, ChunkVerdict, DedupSink, DedupSinkConfig, DedupStage, FingerprintIndex,
     FingerprintStage, ShipStage, SinkOutcome, SinkPipelineHints, StageKind, StageSpec, StoreSink,

@@ -1,18 +1,18 @@
 //! The single-stream Shredder pipeline: Reader → Transfer → Kernel →
-//! Store, as a thin convenience over the session engine.
+//! Store, as a one-shot helper over the service.
 //!
 //! Historically this module owned the whole discrete-event pipeline;
 //! that machinery now lives in [`crate::engine`], where any number of
-//! tenant streams share it. [`Shredder`] keeps the original surface —
-//! construct from a [`ShredderConfig`], call
-//! [`chunk_stream`](crate::ChunkingService::chunk_stream) — by opening
-//! exactly one [`ChunkSession`](crate::ChunkSession) on a private
-//! [`ShredderEngine`] per call. The configuration semantics are
+//! tenant streams share it behind [`ShredderService`]. [`Shredder`]
+//! keeps the original surface — construct from a [`ShredderConfig`],
+//! call [`chunk_stream`](crate::ChunkingService::chunk_stream) — and
+//! each call is one request run through a private service as an
+//! unbounded [`Workload::Batch`]. The configuration semantics are
 //! unchanged:
 //!
 //! * **pipeline depth** caps how many buffers are in flight — the §4.2
-//!   streaming pipeline, varied 1–4 in Figure 9 (now a *global* cap the
-//!   engine shares across sessions);
+//!   streaming pipeline, varied 1–4 in Figure 9 (a *global* cap the
+//!   engine shares across requests);
 //! * **twin buffers** cap device buffers — 1 reproduces the serialized
 //!   copy→compute of the basic design, 2 the double buffering of §4.1.1
 //!   (Figure 4);
@@ -21,15 +21,16 @@
 
 use shredder_des::Dur;
 use shredder_gpu::PinnedRing;
-use shredder_rabin::Chunk;
 
 use crate::config::ShredderConfig;
-use crate::engine::{PlannedBuffer, SessionPlan, ShredderEngine};
+use crate::engine::{simulate_planned, PlannedBuffer, SessionPlan};
 use crate::error::ChunkError;
+use crate::frontend::{ChunkRequest, ShredderService};
 use crate::report::{PipelineReport, Report, StageBusy};
 use crate::service::ChunkingService;
-use crate::sink::{ChunkSink, SinkOutcome, UpcallSink};
+use crate::sink::{ChunkSink, SinkOutcome};
 use crate::source::StreamSource;
+use crate::workload::{AdmissionControl, Workload};
 
 /// The GPU-accelerated Shredder chunking engine (single-stream view).
 ///
@@ -59,12 +60,6 @@ impl Shredder {
     /// The configuration.
     pub fn config(&self) -> &ShredderConfig {
         &self.config
-    }
-
-    /// Opens a fresh multi-stream engine with this configuration — the
-    /// session API this service is a convenience over.
-    pub fn engine<'a>(&self) -> ShredderEngine<'a> {
-        ShredderEngine::new(self.config.clone())
     }
 
     /// Timing-only pipeline execution over `buffers` synthetic buffers of
@@ -104,7 +99,7 @@ impl Shredder {
         let (timeline, stage_busy, makespan) = if buffers == 0 {
             (Vec::new(), StageBusy::default(), Dur::ZERO)
         } else {
-            let sim = self.engine().simulate_planned(std::slice::from_ref(&plan));
+            let sim = simulate_planned(&self.config, std::slice::from_ref(&plan));
             (
                 sim.sessions[0].timeline.clone(),
                 sim.stage_busy,
@@ -131,22 +126,12 @@ impl Shredder {
 }
 
 impl ChunkingService for Shredder {
-    fn chunk_source_with(
-        &self,
-        source: &mut dyn StreamSource,
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
-        // The upcall interface is the degenerate (stage-less) sink.
-        let mut sink = UpcallSink::new(upcall);
-        Ok(self.chunk_source_sink(source, &mut sink)?.report)
-    }
-
     /// Runs the sink's stages inside the engine's shared simulation: one
-    /// session, chunking pipeline and downstream stages contending and
+    /// request, chunking pipeline and downstream stages contending and
     /// overlapping on the same virtual clock. The caller's `ingest_bw`
     /// cap, when set, caps the engine's reader — here the reader *is*
     /// the consumer's intake link (e.g. the §7.3 10 Gbps image source).
-    fn chunk_source_sink_capped(
+    fn chunk_source_sink(
         &self,
         source: &mut dyn StreamSource,
         sink: &mut dyn ChunkSink,
@@ -156,15 +141,25 @@ impl ChunkingService for Shredder {
         if let Some(bw) = ingest_bw {
             config.reader_bandwidth = config.reader_bandwidth.min(bw);
         }
-        let outcome = {
-            let mut engine = ShredderEngine::new(config);
-            engine.open_sink_session("chunk-stream", 1, source, sink);
-            engine.run()?
+        let mut outcome = {
+            let mut service =
+                ShredderService::new(config).with_admission(AdmissionControl::unbounded());
+            service.submit(
+                ChunkRequest::new(source)
+                    .named("chunk-stream")
+                    .with_sink(sink),
+            );
+            service.run(&Workload::Batch)?
         };
+        // Unbounded admission never sheds, but if that invariant ever
+        // broke the request's error propagates instead of a report.
+        if let Some(request) = outcome.requests.pop() {
+            request.outcome?;
+        }
         let per = &outcome.report.sessions[0];
-        // The legacy report keeps chunk-only semantics: with downstream
-        // stages attached, chunking ends when the last buffer leaves the
-        // Store thread, not when the sink drains.
+        // The report keeps chunk-only semantics: with downstream stages
+        // attached, chunking ends when the last buffer leaves the Store
+        // thread, not when the sink drains.
         let chunk_makespan = if outcome.report.sink_stages.is_empty() {
             outcome.report.makespan
         } else {

@@ -277,13 +277,13 @@ pub struct PipelineReport {
     pub raw_cuts: usize,
 }
 
-/// Per-stream report of one session's trip through a shared
-/// [`ShredderEngine`](crate::ShredderEngine) run.
+/// Per-stream report of one request's trip through a shared
+/// [`ShredderService`](crate::ShredderService) run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionReport {
-    /// Session index in engine open order.
+    /// Request index in submit order.
     pub id: usize,
-    /// Session name.
+    /// Request name.
     pub name: String,
     /// Admission weight used by the scheduler.
     pub weight: u32,
@@ -333,7 +333,7 @@ impl SessionReport {
 /// covering every session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineReport {
-    /// Sessions run, in open order.
+    /// Per-request reports, in submit order.
     pub sessions: Vec<SessionReport>,
     /// Total bytes across all sessions.
     pub bytes: u64,
@@ -359,11 +359,8 @@ pub struct EngineReport {
     /// One-time pinned-ring setup cost (shared by all sessions).
     pub ring_setup: Dur,
     /// Service-frontend accounting (offered vs. achieved load, queue
-    /// depth, per-class latency percentiles). `Some` for runs driven by
-    /// a [`ShredderService`](crate::ShredderService) workload; `None`
-    /// for the legacy closed-batch [`run`](crate::ShredderEngine::run)
-    /// path.
-    pub service: Option<ServiceReport>,
+    /// depth, per-class latency percentiles).
+    pub service: ServiceReport,
     /// Per-fault counters from the injected
     /// [`FaultPlan`](crate::FaultPlan): deaths taken, buffers requeued,
     /// sessions re-placed, final straggler factors. All-zero (the
@@ -390,7 +387,7 @@ impl EngineReport {
         self.bytes as f64 / s / 1e9
     }
 
-    /// The report of one session by engine open order.
+    /// The report of one request by submit order.
     pub fn session(&self, index: usize) -> Option<&SessionReport> {
         self.sessions.get(index)
     }

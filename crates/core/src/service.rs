@@ -3,42 +3,36 @@
 //! The Shredder library notifies applications of chunk boundaries via an
 //! upcall (§3.1: "the Store thread uses an upcall to notify the chunk
 //! boundaries to the application that is using the Shredder library").
-//! [`ChunkingService::chunk_source_with`] is that interface, now fed by
-//! a [`StreamSource`] instead of a bare slice and fallible so kernel
-//! errors propagate instead of panicking; the conveniences
+//! Here that upcall is the degenerate (stage-less) [`UpcallSink`]. The
+//! one required method,
+//! [`chunk_source_sink`](ChunkingService::chunk_source_sink), chunks a
+//! [`StreamSource`] into any [`ChunkSink`], optionally behind an ingest
+//! bandwidth cap, and is fallible so kernel errors propagate instead of
+//! panicking. A sink with downstream stages (fingerprint, dedup, ship)
+//! runs those stages *inside* the service's simulation, so hashing
+//! genuinely overlaps chunking instead of being post-processed
+//! analytically. The conveniences
 //! [`chunk_stream`](ChunkingService::chunk_stream) and
-//! [`chunk_source`](ChunkingService::chunk_source) collect the upcalls
-//! into a [`ChunkOutcome`].
+//! [`chunk_stream_sink`](ChunkingService::chunk_stream_sink) cover
+//! in-memory streams.
 //!
-//! Since the staged-sink redesign, the upcall path is simply the
-//! degenerate (stage-less) case of
-//! [`chunk_source_sink`](ChunkingService::chunk_source_sink): a
-//! [`ChunkSink`] with downstream stages (fingerprint, dedup, ship) runs
-//! those stages *inside* the service's simulation, so hashing genuinely
-//! overlaps chunking instead of being post-processed analytically. The
-//! default implementation pipelines the sink's stages behind a chunker
-//! running at the service's measured rate; engine-backed services
-//! ([`Shredder`](crate::Shredder)) override it to schedule the stages
-//! in the shared multi-session simulation.
-//!
-//! For chunking *many* streams through one shared pipeline, use the
-//! session API ([`ShredderEngine`](crate::ShredderEngine)) directly —
-//! these per-call entry points each run a private single-session engine.
+//! For chunking *many* streams through one shared pipeline, submit them
+//! as requests to a [`ShredderService`](crate::ShredderService) — these
+//! per-call entry points each run a private one-request service.
 //!
 //! Every entry point honors the full
 //! [`ShredderConfig`](crate::ShredderConfig), including the device pool:
 //! a service built with `gpus = N`
 //! ([`ShredderConfig::with_gpus`](crate::ShredderConfig::with_gpus))
-//! runs its sessions over N devices, and engine-backed reports expose
-//! the per-device utilization/overlap in
-//! [`EngineReport::devices`](crate::EngineReport).
+//! runs over N devices, and the service's reports expose the per-device
+//! utilization/overlap in [`EngineReport::devices`](crate::EngineReport).
 
 use shredder_hash::{sha256, Digest};
 use shredder_rabin::Chunk;
 
 use crate::error::ChunkError;
 use crate::report::Report;
-use crate::sink::{run_sink_after_chunking, ChunkSink, SinkOutcome};
+use crate::sink::{ChunkSink, SinkOutcome, UpcallSink};
 use crate::source::{SliceSource, StreamSource};
 
 /// Result of chunking a stream: the chunks plus the engine's timing
@@ -73,153 +67,66 @@ impl ChunkOutcome {
 /// # Examples
 ///
 /// ```
-/// use shredder_core::{ChunkingService, HostChunker};
+/// use shredder_core::{ChunkingService, HostChunker, SliceSource, UpcallSink};
 ///
 /// let data = vec![3u8; 100_000];
 /// let service = HostChunker::with_defaults();
 /// let mut sizes: Vec<usize> = Vec::new();
+/// let mut upcall = |chunk: shredder_rabin::Chunk| sizes.push(chunk.len);
 /// service
-///     .chunk_stream_with(&data, &mut |chunk| sizes.push(chunk.len))
+///     .chunk_source_sink(&mut SliceSource::new(&data), &mut UpcallSink::new(&mut upcall), None)
 ///     .unwrap();
 /// assert_eq!(sizes.iter().sum::<usize>(), data.len());
 /// ```
 pub trait ChunkingService {
-    /// Chunks the stream delivered by `source`, calling `upcall` with
-    /// each chunk in stream order, and returns the timing report.
+    /// Chunks the stream delivered by `source` and drives `sink` with
+    /// each chunk in stream order, running the sink's downstream stages
+    /// inside the service's simulation.
+    ///
+    /// The sink's functional half (hashing, dedup decisions) always runs
+    /// for real, chunk by chunk in stream order. `ingest_bw` is an
+    /// explicit ingest bandwidth cap in bytes/s modeling the link that
+    /// feeds the chunker (the §7.3 10 Gbps image source); `None` models
+    /// a resident stream. The request path models the same cap as a
+    /// [`TenantClass::ingest_bw`](crate::TenantClass) limit instead.
     ///
     /// # Errors
     ///
     /// [`ChunkError`] when the underlying engine rejects the
     /// configuration or a kernel launch fails.
-    fn chunk_source_with(
-        &self,
-        source: &mut dyn StreamSource,
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError>;
-
-    /// Chunks an in-memory stream, delivering each chunk through the
-    /// `upcall` in stream order.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_stream_with(
-        &self,
-        data: &[u8],
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
-        self.chunk_source_with(&mut SliceSource::new(data), upcall)
-    }
-
-    /// Chunks a source and collects the upcalls.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_source(&self, source: &mut dyn StreamSource) -> Result<ChunkOutcome, ChunkError> {
-        let mut chunks = Vec::new();
-        let report = self.chunk_source_with(source, &mut |c| chunks.push(c))?;
-        Ok(ChunkOutcome { chunks, report })
-    }
-
-    /// Chunks an in-memory stream and collects the upcalls.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_stream(&self, data: &[u8]) -> Result<ChunkOutcome, ChunkError> {
-        self.chunk_source(&mut SliceSource::new(data))
-    }
-
-    /// Chunks the stream delivered by `source` and drives `sink`'s
-    /// downstream stages inside the service's simulation.
-    ///
-    /// The sink's functional half (hashing, dedup decisions) always runs
-    /// for real, chunk by chunk in stream order. The default
-    /// implementation is the *degenerate* path for engines without a
-    /// shared simulation: it chunks first, then pipelines the sink's
-    /// stages behind a chunker stage running at the service's measured
-    /// rate (batched at [`SinkPipelineHints::granularity`](crate::SinkPipelineHints)),
-    /// so downstream stages still overlap chunking in simulated time.
-    /// Engine-backed services override this to schedule the stages in
-    /// the same shared simulation as the chunking pipeline itself.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
     fn chunk_source_sink(
         &self,
         source: &mut dyn StreamSource,
         sink: &mut dyn ChunkSink,
-    ) -> Result<SinkOutcome, ChunkError> {
-        self.chunk_source_sink_capped(source, sink, None)
-    }
-
-    /// Like [`chunk_source_sink`](Self::chunk_source_sink), with an
-    /// explicit ingest bandwidth cap in bytes/s modeling the link that
-    /// feeds the chunker (the §7.3 10 Gbps image source). `None` models
-    /// a resident stream. Callers with a per-stream cap (the backup
-    /// server's legacy single-image path) pass it here; the request path
-    /// models the same cap as a
-    /// [`TenantClass::ingest_bw`](crate::TenantClass) limit instead.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_source_sink_capped(
-        &self,
-        source: &mut dyn StreamSource,
-        sink: &mut dyn ChunkSink,
         ingest_bw: Option<f64>,
-    ) -> Result<SinkOutcome, ChunkError> {
-        // Materialize the stream: the sink's functional pass needs real
-        // payloads for every (min/max-adjusted) chunk. Both buffers are
-        // pooled leases, so repeat calls allocate nothing in steady
-        // state.
-        let pool = crate::bufpool::BufferPool::global();
-        let mut data = pool.with_capacity(source.size_hint().unwrap_or(0) as usize);
-        let mut buf = pool.get(1 << 20);
-        loop {
-            let n = source.read(&mut buf);
-            if n == 0 {
-                break;
-            }
-            data.extend_from_slice(&buf[..n]);
-        }
-        let mut chunks = Vec::new();
-        let report = self.chunk_stream_with(&data, &mut |c| chunks.push(c))?;
-        Ok(run_sink_after_chunking(
-            &data, &chunks, report, sink, ingest_bw,
-        ))
-    }
+    ) -> Result<SinkOutcome, ChunkError>;
 
-    /// Chunks an in-memory stream through a sink.
+    /// Chunks an in-memory stream and collects the chunks, in stream
+    /// order, with the timing report.
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
+    /// See [`chunk_source_sink`](Self::chunk_source_sink).
+    fn chunk_stream(&self, data: &[u8]) -> Result<ChunkOutcome, ChunkError> {
+        let mut chunks = Vec::new();
+        let mut upcall = |c| chunks.push(c);
+        let report = self
+            .chunk_stream_sink(data, &mut UpcallSink::new(&mut upcall))?
+            .report;
+        Ok(ChunkOutcome { chunks, report })
+    }
+
+    /// Chunks an in-memory stream through a sink, uncapped.
+    ///
+    /// # Errors
+    ///
+    /// See [`chunk_source_sink`](Self::chunk_source_sink).
     fn chunk_stream_sink(
         &self,
         data: &[u8],
         sink: &mut dyn ChunkSink,
     ) -> Result<SinkOutcome, ChunkError> {
-        self.chunk_source_sink(&mut SliceSource::new(data), sink)
-    }
-
-    /// Chunks an in-memory stream through a sink with an explicit
-    /// ingest bandwidth cap (see
-    /// [`chunk_source_sink_capped`](Self::chunk_source_sink_capped)).
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_stream_sink_capped(
-        &self,
-        data: &[u8],
-        sink: &mut dyn ChunkSink,
-        ingest_bw: Option<f64>,
-    ) -> Result<SinkOutcome, ChunkError> {
-        self.chunk_source_sink_capped(&mut SliceSource::new(data), sink, ingest_bw)
+        self.chunk_source_sink(&mut SliceSource::new(data), sink, None)
     }
 
     /// Human-readable engine name (used in experiment output).
@@ -235,11 +142,12 @@ mod tests {
     struct FakeService;
 
     impl ChunkingService for FakeService {
-        fn chunk_source_with(
+        fn chunk_source_sink(
             &self,
             source: &mut dyn StreamSource,
-            upcall: &mut dyn FnMut(Chunk),
-        ) -> Result<Report, ChunkError> {
+            sink: &mut dyn ChunkSink,
+            _ingest_bw: Option<f64>,
+        ) -> Result<SinkOutcome, ChunkError> {
             let mut total = 0usize;
             let mut buf = [0u8; 256];
             loop {
@@ -249,16 +157,24 @@ mod tests {
                 }
                 total += n;
             }
-            upcall(Chunk {
-                offset: 0,
-                len: total,
-            });
-            Ok(Report::Host(HostReport {
-                bytes: total as u64,
-                threads: 1,
-                allocator: "none".into(),
-                makespan: Dur::from_micros(1),
-            }))
+            sink.accept(
+                Chunk {
+                    offset: 0,
+                    len: total,
+                },
+                &[],
+            );
+            let makespan = Dur::from_micros(1);
+            Ok(SinkOutcome {
+                report: Report::Host(HostReport {
+                    bytes: total as u64,
+                    threads: 1,
+                    allocator: "none".into(),
+                    makespan,
+                }),
+                makespan,
+                stages: Vec::new(),
+            })
         }
 
         fn service_name(&self) -> String {
@@ -281,10 +197,17 @@ mod tests {
     fn source_and_slice_paths_agree() {
         let data = vec![7u8; 1000];
         let via_slice = FakeService.chunk_stream(&data).unwrap();
+        let mut chunks = Vec::new();
+        let mut upcall = |c| chunks.push(c);
         let via_source = FakeService
-            .chunk_source(&mut SliceSource::new(&data))
+            .chunk_source_sink(
+                &mut SliceSource::new(&data),
+                &mut UpcallSink::new(&mut upcall),
+                None,
+            )
             .unwrap();
-        assert_eq!(via_slice, via_source);
+        assert_eq!(via_slice.report, via_source.report);
+        assert_eq!(via_slice.chunks, chunks);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! A [`ChunkSink`] replaces that collect-then-postprocess pattern. It
 //! is a typed graph of downstream stages attached to a
-//! [`ChunkSession`](crate::ChunkSession):
+//! [`ChunkRequest`](crate::ChunkRequest):
 //!
 //! * the *functional* half runs immediately: [`ChunkSink::accept`] is
 //!   called once per chunk in stream order with the real payload, so
@@ -19,7 +19,7 @@
 //! * the *timing* half is the per-stage service demand `accept`
 //!   returns, which the engine schedules through shared per-stage FIFO
 //!   servers **inside the same discrete-event simulation** as the
-//!   chunking pipeline. A session's admission slot is held until its
+//!   chunking pipeline. A request's admission slot is held until its
 //!   buffer clears the *last* sink stage, so a slow downstream stage
 //!   backpressures the kernel FIFO exactly as a slow Store thread
 //!   would.
@@ -29,17 +29,18 @@
 //! [`DedupStage`] (fingerprint-index lookup/insert) and [`ShipStage`]
 //! (pointer-vs-payload transfer); [`DedupSink`] composes all three into
 //! the backup server's graph. [`UpcallSink`] is the degenerate sink —
-//! no stages, boundaries forwarded to an upcall — which is what the
-//! legacy [`ChunkingService`](crate::ChunkingService) entry points now
-//! run on.
+//! no stages, boundaries forwarded to an upcall — which is what
+//! [`ChunkingService::chunk_stream`](crate::ChunkingService::chunk_stream)
+//! runs on.
 //!
 //! # Examples
 //!
-//! A fingerprint-only sink inside a shared engine run:
+//! A fingerprint-only sink inside a shared service run:
 //!
 //! ```
 //! use shredder_core::{
-//!     ChunkSink, FingerprintStage, ShredderConfig, ShredderEngine, SliceSource, StageSpec,
+//!     AdmissionControl, ChunkRequest, ChunkSink, FingerprintStage, ShredderConfig,
+//!     ShredderService, SliceSource, StageSpec, Workload,
 //! };
 //! use shredder_des::Dur;
 //! use shredder_rabin::Chunk;
@@ -57,17 +58,19 @@
 //!
 //! let data: Vec<u8> = (0..1u32 << 19).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
 //! let mut sink = HashSink(FingerprintStage::new(1.5e9));
-//! let mut engine =
-//!     ShredderEngine::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10));
-//! engine.open_sink_session("tenant", 1, SliceSource::new(&data), &mut sink);
-//! let outcome = engine.run().unwrap();
-//! drop(engine);
+//! let mut service =
+//!     ShredderService::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10))
+//!         .with_admission(AdmissionControl::unbounded());
+//! service.submit(ChunkRequest::new(SliceSource::new(&data)).with_sink(&mut sink));
+//! let outcome = service.run(&Workload::Batch).unwrap();
+//! drop(service);
 //!
 //! // Hashing ran inside the shared simulation: the fingerprint stage
 //! // reports busy time, and every chunk got a real digest.
 //! assert_eq!(outcome.report.sink_stages.len(), 1);
 //! assert!(outcome.report.sink_stages[0].busy > Dur::ZERO);
-//! assert_eq!(sink.0.digests().len(), outcome.sessions[0].chunks.len());
+//! let (_, request) = outcome.completed().next().unwrap();
+//! assert_eq!(sink.0.digests().len(), request.chunks.len());
 //! ```
 
 use std::cell::RefCell;
@@ -125,8 +128,7 @@ pub struct StageSpec {
 
 /// Scheduling hints for running a sink behind a chunking service that
 /// has no shared engine simulation of its own (the degenerate
-/// collect-then-stage path of
-/// [`ChunkingService::chunk_source_sink`](crate::ChunkingService::chunk_source_sink)).
+/// collect-then-stage path of [`HostChunker`](crate::HostChunker)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SinkPipelineHints {
     /// Batch granularity in bytes: chunk work is grouped into batches of
@@ -959,6 +961,7 @@ pub(crate) fn simulate_consumer_pipeline(
 }
 
 /// The degenerate collect-then-stage path behind
+/// [`HostChunker`](crate::HostChunker)'s
 /// [`ChunkingService::chunk_source_sink`](crate::ChunkingService::chunk_source_sink):
 /// chunks are already computed (with the service's own report); the
 /// sink's functional pass runs here and its stages are pipelined behind

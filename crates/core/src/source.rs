@@ -3,16 +3,16 @@
 //! The original API accepted only a fully-materialized `&[u8]` per
 //! call. A [`StreamSource`] instead delivers bytes incrementally, so the
 //! engine can pull one pipeline buffer at a time — which is what lets a
-//! [`ShredderEngine`](crate::ShredderEngine) interleave many tenant
+//! [`ShredderService`](crate::ShredderService) interleave many tenant
 //! streams through one device pipeline while holding only a
 //! `window − 1` byte carry per stream.
 //!
 //! Two ready-made sources cover the common cases: [`SliceSource`]
 //! borrows an in-memory stream, [`MemorySource`] owns one. Any `&mut S`
 //! where `S: StreamSource` is itself a source, so callers can keep
-//! ownership while an engine session reads.
+//! ownership while a request reads.
 
-/// A pull-based byte stream feeding a chunking session.
+/// A pull-based byte stream feeding a chunking request.
 ///
 /// # Examples
 ///
@@ -102,8 +102,8 @@ impl<'a> From<&'a Vec<u8>> for SliceSource<'a> {
     }
 }
 
-/// A source owning its stream — lets a session outlive the caller's
-/// borrow (e.g. sessions built inside a loop).
+/// A source owning its stream — lets a request outlive the caller's
+/// borrow (e.g. requests built inside a loop).
 #[derive(Debug, Clone)]
 pub struct MemorySource {
     data: Vec<u8>,

@@ -8,9 +8,10 @@
 //! and per-request latency. A [`Workload`] is the arrival process that
 //! drives requests *into* the discrete-event simulation:
 //!
-//! * [`Workload::Batch`] — every request arrives at `t = 0`. This is
-//!   the degenerate closed-batch model the legacy
-//!   [`ShredderEngine::run`](crate::ShredderEngine::run) path uses.
+//! * [`Workload::Batch`] — every request arrives at `t = 0`: the
+//!   degenerate closed-batch model. With
+//!   [`AdmissionControl::unbounded`] it is how
+//!   [`Shredder`](crate::Shredder) runs its one-shot requests.
 //! * [`Workload::Poisson`] — open-loop arrivals at a target rate
 //!   (exponential inter-arrival gaps from a seeded deterministic
 //!   sampler). The canonical model for "requests keep coming whether or
@@ -45,8 +46,8 @@ fn exponential_gap(rng: &mut SeededRng, rate: f64) -> Dur {
 /// How requests arrive at a [`ShredderService`](crate::ShredderService).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
-    /// Every request arrives at `t = 0` — the legacy closed-batch model
-    /// (open all sessions, then run them to completion).
+    /// Every request arrives at `t = 0` — the closed-batch model
+    /// (submit everything, then run it to completion).
     Batch,
     /// Open-loop Poisson arrivals at a target rate. Arrivals do not
     /// wait for completions: offered load is constant regardless of how
@@ -211,7 +212,7 @@ pub struct AdmissionControl {
 
 impl AdmissionControl {
     /// No admission control at all: FIFO, unlimited concurrency,
-    /// unbounded queue, no shedding — the legacy closed-batch
+    /// unbounded queue, no shedding — the closed-batch
     /// behaviour.
     pub fn unbounded() -> Self {
         AdmissionControl {
@@ -282,7 +283,7 @@ pub struct TenantClass {
     /// requests pass through one shared class link of this bandwidth
     /// before reaching the SAN reader. `None` means uncapped. This is
     /// the first-class form of the explicit per-call cap of
-    /// [`ChunkingService::chunk_source_sink_capped`](crate::ChunkingService::chunk_source_sink_capped).
+    /// [`ChunkingService::chunk_source_sink`](crate::ChunkingService::chunk_source_sink).
     pub ingest_bw: Option<f64>,
 }
 

@@ -5,8 +5,9 @@
 
 use proptest::prelude::*;
 use shredder_core::{
-    AdmissionPolicy, ChunkSink, ChunkingService, FingerprintStage, HostChunker, HostChunkerConfig,
-    Shredder, ShredderConfig, ShredderEngine, SliceSource, StageSpec,
+    AdmissionControl, AdmissionPolicy, ChunkRequest, ChunkSink, ChunkingService, FingerprintStage,
+    HostChunker, HostChunkerConfig, ServiceOutcome, Shredder, ShredderConfig, ShredderService,
+    SliceSource, StageSpec, Workload,
 };
 use shredder_des::Dur;
 use shredder_hash::sha256;
@@ -133,16 +134,22 @@ proptest! {
             _ => AdmissionPolicy::SessionOrder,
         };
         let cfg = ShredderConfig::gpu_streams_memory().with_buffer_size(1 << buffer_shift);
-        let mut engine = ShredderEngine::new(cfg).with_policy(policy);
+        let mut service = ShredderService::new(cfg)
+            .with_admission(AdmissionControl::unbounded())
+            .with_engine_policy(policy);
         for (i, s) in streams.iter().enumerate() {
             let weight = 1 + ((weight_seed >> (i * 3)) & 0x3) as u32;
-            engine.open_named_session(format!("tenant-{i}"), weight, SliceSource::new(s));
+            service.submit(
+                ChunkRequest::new(SliceSource::new(s))
+                    .named(format!("tenant-{i}"))
+                    .with_weight(weight),
+            );
         }
-        let out = engine.run().unwrap();
-        prop_assert_eq!(out.sessions.len(), streams.len());
-        for (session, data) in out.sessions.iter().zip(&streams) {
+        let out = service.run(&Workload::Batch).unwrap();
+        prop_assert_eq!(out.completed().count(), streams.len());
+        for ((_, request), data) in out.completed().zip(&streams) {
             prop_assert_eq!(
-                &session.chunks,
+                &request.chunks,
                 &chunk_all(data, &ChunkParams::paper()),
                 "policy {:?}",
                 policy
@@ -202,19 +209,27 @@ proptest! {
             _ => AdmissionPolicy::SessionOrder,
         };
         let run = || {
-            let mut engine = ShredderEngine::new(
+            let mut service = ShredderService::new(
                 ShredderConfig::gpu_streams_memory().with_buffer_size(8 << 10),
             )
-            .with_policy(policy);
+            .with_admission(AdmissionControl::unbounded())
+            .with_engine_policy(policy);
             for (i, s) in streams.iter().enumerate() {
-                engine.open_named_session(format!("t{i}"), (i as u32 % 3) + 1, SliceSource::new(s));
+                service.submit(
+                    ChunkRequest::new(SliceSource::new(s))
+                        .named(format!("t{i}"))
+                        .with_weight((i as u32 % 3) + 1),
+                );
             }
-            engine.run().unwrap()
+            service.run(&Workload::Batch).unwrap()
+        };
+        let chunks = |out: &ServiceOutcome| -> Vec<Vec<Chunk>> {
+            out.completed().map(|(_, r)| r.chunks.clone()).collect()
         };
         let first = run();
         let second = run();
+        prop_assert_eq!(chunks(&first), chunks(&second));
         prop_assert_eq!(first.report, second.report);
-        prop_assert_eq!(first.sessions, second.sessions);
     }
 
     /// Service-frontend determinism under arrivals: any workload trace
@@ -230,9 +245,7 @@ proptest! {
         delay_bound_pick in 0u64..500,
         policy_pick in 0u8..3,
     ) {
-        use shredder_core::{
-            AdmissionControl, ChunkRequest, MemorySource, ShredderService, TenantClass, Workload,
-        };
+        use shredder_core::{MemorySource, TenantClass};
 
         let policy = match policy_pick {
             0 => AdmissionPolicy::RoundRobin,

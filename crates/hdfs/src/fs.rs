@@ -250,8 +250,8 @@ impl IncHdfs {
         ))
     }
 
-    /// Batch ingestion: uploads several files in one multi-stream engine
-    /// run, so their chunking — and the record-aligned fingerprinting of
+    /// Batch ingestion: uploads several files in one closed-batch
+    /// service run, so their chunking — and the record-aligned fingerprinting of
     /// every split — contends for and overlaps on **one** shared device
     /// pipeline (the §4.2 pipeline kept saturated across files instead
     /// of drained between them).
@@ -275,11 +275,16 @@ impl IncHdfs {
             .map(|_| RecordAlignedSink::new(format))
             .collect();
         let outcome = {
-            let mut engine = shredder.engine();
+            let mut service = ShredderService::new(shredder.config().clone())
+                .with_admission(AdmissionControl::unbounded());
             for ((path, data), sink) in files.iter().zip(sinks.iter_mut()) {
-                engine.open_sink_session(path.to_string(), 1, SliceSource::new(data), sink);
+                service.submit(
+                    ChunkRequest::new(SliceSource::new(data))
+                        .named(path.to_string())
+                        .with_sink(sink),
+                );
             }
-            engine.run()?
+            service.run(&Workload::Batch)?
         };
 
         let mut reports = Vec::with_capacity(files.len());
@@ -344,11 +349,7 @@ impl IncHdfs {
             service.run(workload).map_err(HdfsError::Chunking)?
         };
 
-        let service_report = outcome
-            .report
-            .service
-            .clone()
-            .expect("service runs always carry a ServiceReport");
+        let service_report = outcome.report.service.clone();
         let mut reports = Vec::with_capacity(files.len());
         for ((sink, (path, data)), result) in sinks.into_iter().zip(files).zip(outcome.requests) {
             match result.outcome {

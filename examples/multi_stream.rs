@@ -4,14 +4,17 @@
 //!
 //! A consolidated server (the paper's §7.2 backup scenario) receives
 //! streams from several remote sites at once. Instead of chunking them
-//! one call at a time — draining the pipeline between clients — the
-//! session engine opens one `ChunkSession` per client and schedules all
-//! of their buffers through one shared discrete-event pipeline with
-//! round-robin admission. Each client still gets chunks bit-identical
-//! to a sequential scan of its own stream.
+//! one call at a time — draining the pipeline between clients — a
+//! `ShredderService` takes one `ChunkRequest` per client and schedules
+//! all of their buffers through one shared discrete-event pipeline with
+//! round-robin admission. Here every request arrives at once
+//! (`Workload::Batch`) and none is ever queued or shed
+//! (`AdmissionControl::unbounded`). Each client still gets chunks
+//! bit-identical to a sequential scan of its own stream.
 
 use shredder::core::{
-    AdmissionPolicy, ChunkingService, Shredder, ShredderConfig, ShredderEngine, SliceSource,
+    AdmissionControl, AdmissionPolicy, ChunkRequest, ChunkingService, Shredder, ShredderConfig,
+    ShredderService, SliceSource, Workload,
 };
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
@@ -42,16 +45,18 @@ fn main() {
         .collect();
     let solo_mean = solo_gbps.iter().sum::<f64>() / solo_gbps.len() as f64;
 
-    // Multi-tenant: all sites concurrently through one engine.
-    let mut engine = ShredderEngine::new(cfg).with_policy(AdmissionPolicy::RoundRobin);
+    // Multi-tenant: all sites concurrently through one service.
+    let mut service = ShredderService::new(cfg)
+        .with_admission(AdmissionControl::unbounded())
+        .with_engine_policy(AdmissionPolicy::RoundRobin);
     for (name, data) in &sites {
-        engine.open_named_session(name.clone(), 1, SliceSource::new(data));
+        service.submit(ChunkRequest::new(SliceSource::new(data)).named(name.clone()));
     }
-    let outcome = engine.run().expect("engine run failed");
+    let outcome = service.run(&Workload::Batch).expect("service run failed");
 
     println!(
         "{:<10}{:>12}{:>14}{:>12}{:>10}",
-        "session", "bytes", "makespan", "queueing", "GB/s"
+        "request", "bytes", "makespan", "queueing", "GB/s"
     );
     for r in &outcome.report.sessions {
         println!(
@@ -66,14 +71,15 @@ fn main() {
 
     // Every tenant's chunks equal its own sequential scan.
     let params = ChunkParams::paper();
-    for (session, (name, data)) in outcome.sessions.iter().zip(&sites) {
-        assert_eq!(session.chunks, chunk_all(data, &params), "{name} diverged");
+    assert_eq!(outcome.completed().count(), sites.len());
+    for ((_, request), (name, data)) in outcome.completed().zip(&sites) {
+        assert_eq!(request.chunks, chunk_all(data, &params), "{name} diverged");
     }
 
     println!(
         "\nsingle-stream mean  : {solo_mean:.2} GB/s\n\
          aggregate (6 sites) : {:.2} GB/s\n\
-         engine makespan     : {:.2} ms over {} buffers\n\
+         batch makespan      : {:.2} ms over {} buffers\n\
          total queueing      : {:.2} ms (streams contend for {} admission slots)",
         outcome.report.aggregate_gbps(),
         outcome.report.makespan.as_millis_f64(),

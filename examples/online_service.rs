@@ -27,7 +27,7 @@ fn build_service<'a>(control: AdmissionControl) -> ShredderService<'a> {
     // free traffic is additionally capped at a 10 Gbps ingest link via
     // `TenantClass::with_ingest_bw` — the per-class successor of the
     // old per-sink intake cap (one-shot consumers cap their reader with
-    // `ChunkingService::chunk_source_sink_capped` instead).
+    // the `ingest_bw` argument of `ChunkingService::chunk_source_sink`).
     service.define_class(TenantClass::new("gold").with_weight(4));
     service.define_class(TenantClass::new("free").with_ingest_bw(1.25e9));
     for t in 0..REQUESTS as u64 {

@@ -5,10 +5,13 @@
 //! This walks the core API end to end: build a GPU-accelerated chunking
 //! service, chunk a data stream, compare against the host-only baseline,
 //! read the per-stage pipeline report, and scale the same workload onto
-//! a multi-GPU device pool with `gpus = N`.
+//! a multi-GPU device pool with `gpus = N` by submitting several tenants
+//! to one `ShredderService` — the front door every chunking job goes
+//! through (`Shredder` itself is a one-request run of it).
 
 use shredder::core::{
-    ChunkingService, HostChunker, Shredder, ShredderConfig, ShredderEngine, SliceSource,
+    AdmissionControl, ChunkRequest, ChunkingService, HostChunker, Shredder, ShredderConfig,
+    ShredderService, SliceSource, Workload,
 };
 use shredder::gpu::kernel::KernelVariant;
 use shredder::workloads;
@@ -93,8 +96,9 @@ fn main() {
         );
     }
 
-    // Scale out: the same pipeline over a pool of devices (`gpus = N`).
-    // Sessions shard across devices (least-loaded by default); a faster
+    // Scale out: the same pipeline over a pool of devices (`gpus = N`),
+    // with every tenant submitted to one service as a closed batch.
+    // Requests shard across devices (least-loaded by default); a faster
     // SAN fabric keeps the reader from capping the pool. Chunks stay
     // bit-identical to the single-device run.
     println!("\nmulti-GPU pool (same tenants, gpus = 1 vs 2):");
@@ -107,11 +111,12 @@ fn main() {
             .with_reader_bandwidth(32e9) // multi-GPU testbeds provision the fabric
             .with_gpus(gpus)
             .with_pipeline_depth(4 * gpus);
-        let mut engine = ShredderEngine::new(cfg);
+        let mut service = ShredderService::new(cfg).with_admission(AdmissionControl::unbounded());
         for (t, stream) in tenants.iter().enumerate() {
-            engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(stream));
+            service
+                .submit(ChunkRequest::new(SliceSource::new(stream)).named(format!("tenant-{t}")));
         }
-        let out = engine.run().expect("chunking failed");
+        let out = service.run(&Workload::Batch).expect("chunking failed");
         let per_device: Vec<String> = out
             .report
             .devices

@@ -4,7 +4,7 @@
 //! Incremental Storage and Computation* (Bhatotia, Rodrigues & Verma,
 //! FAST 2012) — a high-performance content-based chunking framework for
 //! incremental storage and computation systems, grown into a
-//! **session-based multi-tenant engine**: many client streams share one
+//! **multi-tenant online service**: many client streams share one
 //! device pipeline, as the paper's backup server (§7.2) and Inc-HDFS
 //! deployments demand.
 //!
@@ -19,19 +19,18 @@
 //!   (DRAM banks, coalescing, DMA, SIMT, the two chunking kernels), and
 //!   the multi-device [`DevicePool`](gpu::DevicePool) with per-device
 //!   stream triples and event-chained copy–compute overlap.
-//! * [`core`] — the Shredder framework: the session-based
-//!   [`ShredderEngine`](core::ShredderEngine) scheduling N concurrent
-//!   [`ChunkSession`](core::ChunkSession)s through one shared
-//!   Reader→Transfer→Kernel→Store pipeline (double buffering, pinned
-//!   ring, fair admission), sharded across a device pool (`gpus = N`,
-//!   least-loaded / round-robin / pinned placement, per-device
-//!   utilization + overlap reporting), the single-stream
-//!   [`Shredder`](core::Shredder) convenience, the host-only
-//!   pthreads baseline — and the **online service frontend**
-//!   ([`ShredderService`](core::ShredderService)): open-loop /
-//!   closed-loop / trace arrival workloads, bounded admission with
-//!   per-tenant fair share and load shedding, per-request latency
-//!   timestamps and p50/p95/p99 SLO reporting.
+//! * [`core`] — the Shredder framework. Its one front door is the
+//!   online service [`ShredderService`](core::ShredderService):
+//!   submitted [`ChunkRequest`](core::ChunkRequest)s run through one
+//!   shared Reader→Transfer→Kernel→Store pipeline (double buffering,
+//!   pinned ring, fair admission), sharded across a device pool
+//!   (`gpus = N`, least-loaded / round-robin / pinned placement,
+//!   per-device utilization + overlap reporting), under open-loop /
+//!   closed-loop / trace / batch arrival workloads with bounded
+//!   admission, per-tenant fair share and load shedding, per-request
+//!   latency timestamps and p50/p95/p99 SLO reporting. Around it: the
+//!   one-shot [`Shredder`](core::Shredder) helper (a one-request batch
+//!   run of the service) and the host-only pthreads baseline.
 //! * [`store`] — the versioned content-addressed chunk store: a
 //!   segment-packed payload log behind one shared fingerprint index,
 //!   first-class snapshots (per-stream generations), digest-verified
@@ -52,13 +51,13 @@
 //! * [`workloads`] — seeded data/trace generators (mutations, VM images,
 //!   record datasets).
 //! * [`hdfs`] — Inc-HDFS: content-defined chunking for HDFS-style
-//!   storage, with batch ingestion over the session engine.
+//!   storage, with batch ingestion through one service run.
 //! * [`mapreduce`] — Incoop-style incremental MapReduce with memoization
 //!   (case study I).
 //! * [`backup`] — the consolidated cloud-backup system (case study II),
-//!   with multi-site batched backups over the session engine.
+//!   with multi-site batched backups through one service run.
 //!
-//! See `DESIGN.md` for the system inventory, the session API, and the
+//! See `DESIGN.md` for the system inventory, the request API, and the
 //! migration notes from the old one-shot `chunk_stream` API.
 //!
 //! # Quickstart: the online service
@@ -96,18 +95,21 @@
 //! [`capacity_search`](core::capacity_search) bisects the highest
 //! sustained rate meeting a p99 SLO. Ingest-bandwidth caps are
 //! per tenant class ([`TenantClass::with_ingest_bw`](core::TenantClass))
-//! — or per request for one-shot consumers, via
-//! `ChunkingService::chunk_source_sink_capped` — rather than a
-//! property of the sink itself.
+//! — or per call for one-shot consumers, via the `ingest_bw` argument of
+//! [`ChunkingService::chunk_source_sink`](core::ChunkingService::chunk_source_sink)
+//! — rather than a property of the sink itself.
 //!
 //! # Quickstart: multi-tenant chunking
 //!
-//! Open one session per client stream on a shared engine; every tenant
-//! gets chunks bit-identical to a sequential scan of its own stream,
-//! while the pipeline stays saturated across tenants:
+//! Submit one request per client stream and run them as a closed batch
+//! (every request at `t = 0`, unbounded admission); every tenant gets
+//! chunks bit-identical to a sequential scan of its own stream, while
+//! the pipeline stays saturated across tenants:
 //!
 //! ```
-//! use shredder::core::{AdmissionPolicy, ShredderConfig, ShredderEngine, SliceSource};
+//! use shredder::core::{
+//!     AdmissionControl, ChunkRequest, ShredderConfig, ShredderService, SliceSource, Workload,
+//! };
 //!
 //! // Three tenant streams (any `StreamSource` works; slices are easiest).
 //! let tenants: Vec<Vec<u8>> = (0..3u64)
@@ -118,23 +120,24 @@
 //!     })
 //!     .collect();
 //!
-//! let mut engine =
-//!     ShredderEngine::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10))
-//!         .with_policy(AdmissionPolicy::RoundRobin);
+//! let mut service =
+//!     ShredderService::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10))
+//!         .with_admission(AdmissionControl::unbounded());
 //! for (t, data) in tenants.iter().enumerate() {
-//!     engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+//!     service.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
 //! }
 //!
-//! let outcome = engine.run().expect("chunking failed");
-//! for (session, data) in outcome.sessions.iter().zip(&tenants) {
+//! let outcome = service.run(&Workload::Batch).expect("chunking failed");
+//! assert_eq!(outcome.completed().count(), tenants.len());
+//! for ((_, request), data) in outcome.completed().zip(&tenants) {
 //!     assert_eq!(
-//!         session.chunks.iter().map(|c| c.len).sum::<usize>(),
+//!         request.chunks.iter().map(|c| c.len).sum::<usize>(),
 //!         data.len(),
 //!     );
 //! }
 //! println!(
 //!     "{} tenants, aggregate {:.2} GB/s, contention {:.2} ms",
-//!     outcome.sessions.len(),
+//!     outcome.requests.len(),
 //!     outcome.report.aggregate_gbps(),
 //!     outcome.report.queue_wait.as_millis_f64(),
 //! );
@@ -142,8 +145,8 @@
 //!
 //! # Quickstart: one stream
 //!
-//! The classic one-shot API is a thin single-session convenience over
-//! the same engine:
+//! The classic one-shot API is a thin helper over the same service — each
+//! call is a one-request batch run:
 //!
 //! ```
 //! use shredder::core::{ChunkingService, Shredder, ShredderConfig};

@@ -27,8 +27,8 @@
 //! run with no fault config at all.
 
 use shredder::core::{
-    capacity_search, AdmissionControl, ChunkRequest, EngineOutcome, FaultPlan, MemorySource,
-    ShredderConfig, ShredderEngine, ShredderService, SliceSource, TelemetryConfig, Workload,
+    capacity_search, AdmissionControl, ChunkRequest, FaultPlan, MemorySource, ServiceOutcome,
+    SessionOutcome, ShredderConfig, ShredderService, SliceSource, TelemetryConfig, Workload,
 };
 use shredder::des::Dur;
 use shredder::hash::{sha256, Digest};
@@ -58,18 +58,29 @@ fn tenant_streams() -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn run_with(streams: &[Vec<u8>], config: ShredderConfig) -> EngineOutcome {
-    let mut engine = ShredderEngine::new(config);
+/// Runs every stream as one closed batch: every request at `t = 0`,
+/// unbounded admission.
+fn run_with(streams: &[Vec<u8>], config: ShredderConfig) -> ServiceOutcome {
+    let mut service = ShredderService::new(config).with_admission(AdmissionControl::unbounded());
     for (t, data) in streams.iter().enumerate() {
-        engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+        service.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
     }
-    engine.run().expect("engine run failed")
+    service.run(&Workload::Batch).expect("service run failed")
 }
 
-fn digests_of(outcome: &EngineOutcome, streams: &[Vec<u8>]) -> Vec<Vec<Digest>> {
+/// Each request's outcome, in submit order (a closed batch sheds
+/// nothing).
+fn sessions(outcome: &ServiceOutcome) -> Vec<&SessionOutcome> {
     outcome
-        .sessions
+        .requests
         .iter()
+        .map(|r| r.outcome.as_ref().expect("unbounded batch never sheds"))
+        .collect()
+}
+
+fn digests_of(outcome: &ServiceOutcome, streams: &[Vec<u8>]) -> Vec<Vec<Digest>> {
+    sessions(outcome)
+        .into_iter()
         .zip(streams)
         .map(|(s, data)| s.chunks.iter().map(|c| sha256(c.slice(data))).collect())
         .collect()
@@ -78,9 +89,14 @@ fn digests_of(outcome: &EngineOutcome, streams: &[Vec<u8>]) -> Vec<Vec<Digest>> 
 /// Asserts the fault-injected run's sessions are bit-identical to the
 /// fault-free baseline: same chunk boundaries, same digests, and both
 /// equal to a sequential CPU scan of each stream alone.
-fn assert_sessions_identical(base: &EngineOutcome, faulted: &EngineOutcome, streams: &[Vec<u8>]) {
+fn assert_sessions_identical(base: &ServiceOutcome, faulted: &ServiceOutcome, streams: &[Vec<u8>]) {
     let params = ChunkParams::paper();
-    for ((a, b), data) in base.sessions.iter().zip(&faulted.sessions).zip(streams) {
+    assert_eq!(sessions(faulted).len(), streams.len());
+    for ((a, b), data) in sessions(base)
+        .into_iter()
+        .zip(sessions(faulted))
+        .zip(streams)
+    {
         assert_eq!(a.chunks, b.chunks, "{} diverged under faults", a.name);
         assert_eq!(b.chunks, chunk_all(data, &params), "{}", b.name);
     }
@@ -124,7 +140,7 @@ fn device_death_mid_run_requeues_and_keeps_chunks_bit_identical() {
         pool_config().with_faults(FaultPlan::new().device_death(at, 1)),
     );
     assert_eq!(faulted.report, again.report);
-    assert_eq!(faulted.sessions, again.sessions);
+    assert_eq!(sessions(&faulted), sessions(&again));
 }
 
 // ----- Scenario 2: straggler device -----
@@ -503,7 +519,7 @@ fn empty_fault_plan_is_bit_identical_to_no_fault_config() {
 
     // Not just the chunks: the *entire* report — timings, utilization,
     // queue waits, device accounting — must match bit-for-bit.
-    assert_eq!(plain.sessions, empty.sessions);
+    assert_eq!(sessions(&plain), sessions(&empty));
     assert_eq!(plain.report, empty.report);
     assert_eq!(empty.report.faults, Default::default());
 }
@@ -528,8 +544,8 @@ proptest! {
         prop_assert!(!plan.is_empty());
 
         let faulted = run_with(&streams, pool_config().with_faults(plan.clone()));
-        prop_assert_eq!(faulted.sessions.len(), streams.len());
-        for ((a, b), data) in base.sessions.iter().zip(&faulted.sessions).zip(&streams) {
+        prop_assert_eq!(sessions(&faulted).len(), streams.len());
+        for ((a, b), data) in sessions(&base).into_iter().zip(sessions(&faulted)).zip(&streams) {
             prop_assert_eq!(&a.chunks, &b.chunks, "{} diverged under {:?}", a.name, plan);
             let d1: Vec<Digest> = a.chunks.iter().map(|c| sha256(c.slice(data))).collect();
             let d2: Vec<Digest> = b.chunks.iter().map(|c| sha256(c.slice(data))).collect();

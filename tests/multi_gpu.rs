@@ -10,7 +10,8 @@
 //! report exposes per-device utilization and copy–compute overlap.
 
 use shredder::core::{
-    ChunkingService, PlacementPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource,
+    AdmissionControl, ChunkRequest, ChunkingService, PlacementPolicy, ServiceOutcome,
+    SessionOutcome, Shredder, ShredderConfig, ShredderService, SliceSource, Workload,
 };
 use shredder::hash::sha256;
 use shredder::rabin::{chunk_all, ChunkParams};
@@ -32,12 +33,33 @@ fn tenant_streams(n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn run_pool(streams: &[Vec<u8>], gpus: usize) -> shredder::core::EngineOutcome {
-    let mut engine = ShredderEngine::new(pool_config(gpus));
-    for (t, data) in streams.iter().enumerate() {
-        engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+/// Runs `requests` as one closed batch: every request at `t = 0`,
+/// unbounded admission.
+fn run_batch<'a>(
+    config: ShredderConfig,
+    requests: impl IntoIterator<Item = ChunkRequest<'a>>,
+) -> ServiceOutcome {
+    let mut service = ShredderService::new(config).with_admission(AdmissionControl::unbounded());
+    for request in requests {
+        service.submit(request);
     }
-    engine.run().expect("engine run failed")
+    service.run(&Workload::Batch).expect("service run failed")
+}
+
+fn tenants(streams: &[Vec<u8>]) -> impl Iterator<Item = ChunkRequest<'_>> {
+    streams
+        .iter()
+        .enumerate()
+        .map(|(t, data)| ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")))
+}
+
+/// Each completed request's outcome, in submit order.
+fn sessions(out: &ServiceOutcome) -> Vec<&SessionOutcome> {
+    out.completed().map(|(_, s)| s).collect()
+}
+
+fn run_pool(streams: &[Vec<u8>], gpus: usize) -> ServiceOutcome {
+    run_batch(pool_config(gpus), tenants(streams))
 }
 
 #[test]
@@ -56,13 +78,14 @@ fn two_device_pool_outscales_one_with_identical_chunks_and_digests() {
     // Bit-identical per-stream chunk boundaries — against the 1-device
     // run AND against a sequential CPU scan of each stream alone.
     let params = ChunkParams::paper();
-    for ((a, b), data) in one.sessions.iter().zip(&two.sessions).zip(&streams) {
+    assert_eq!(sessions(&two).len(), streams.len());
+    for ((a, b), data) in sessions(&one).into_iter().zip(sessions(&two)).zip(&streams) {
         assert_eq!(a.chunks, b.chunks, "{} diverged across pool sizes", a.name);
         assert_eq!(b.chunks, chunk_all(data, &params), "{}", b.name);
     }
 
     // Bit-identical digests: the dedup identity is placement-invariant.
-    for ((a, b), data) in one.sessions.iter().zip(&two.sessions).zip(&streams) {
+    for ((a, b), data) in sessions(&one).into_iter().zip(sessions(&two)).zip(&streams) {
         let d1: Vec<_> = a.chunks.iter().map(|c| sha256(c.slice(data))).collect();
         let d2: Vec<_> = b.chunks.iter().map(|c| sha256(c.slice(data))).collect();
         assert_eq!(d1, d2);
@@ -116,16 +139,13 @@ fn reader_bound_pool_gains_nothing_from_devices() {
     // change chunks).
     let streams = tenant_streams(4);
     let run = |gpus: usize| {
-        let mut engine = ShredderEngine::new(
+        run_batch(
             ShredderConfig::gpu_streams_memory()
                 .with_buffer_size(1 << 20)
                 .with_gpus(gpus)
                 .with_pipeline_depth(4 * gpus),
-        );
-        for (t, data) in streams.iter().enumerate() {
-            engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
-        }
-        engine.run().expect("engine run failed")
+            tenants(&streams),
+        )
     };
     let one = run(1);
     let two = run(2);
@@ -134,20 +154,15 @@ fn reader_bound_pool_gains_nothing_from_devices() {
         (g2 - g1).abs() / g1 < 0.05,
         "reader-bound: {g1:.3} vs {g2:.3} GB/s should match"
     );
-    for (a, b) in one.sessions.iter().zip(&two.sessions) {
-        assert_eq!(a.chunks, b.chunks);
-    }
+    assert_eq!(sessions(&one).len(), streams.len());
+    assert_eq!(sessions(&one), sessions(&two));
 }
 
 #[test]
 fn placement_policies_shard_sessions_deterministically() {
     let streams = tenant_streams(5);
     let run = |policy: PlacementPolicy| {
-        let mut engine = ShredderEngine::new(pool_config(2).with_placement(policy));
-        for (t, data) in streams.iter().enumerate() {
-            engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
-        }
-        engine.run().expect("engine run failed")
+        run_batch(pool_config(2).with_placement(policy), tenants(&streams))
     };
     let rr = run(PlacementPolicy::RoundRobin);
     let devs: Vec<usize> = rr.report.sessions.iter().map(|r| r.device).collect();
@@ -161,17 +176,22 @@ fn placement_policies_shard_sessions_deterministically() {
     // Same inputs, same policy → identical report, chunk for chunk.
     let rr2 = run(PlacementPolicy::RoundRobin);
     assert_eq!(rr.report, rr2.report);
-    assert_eq!(rr.sessions, rr2.sessions);
+    assert_eq!(sessions(&rr), sessions(&rr2));
 }
 
 #[test]
 fn pinned_placement_isolates_a_tenant() {
     let streams = tenant_streams(3);
-    let mut engine = ShredderEngine::new(pool_config(2).with_placement(PlacementPolicy::Pinned));
-    engine.open_pinned_session("isolated", 1, 1, SliceSource::new(&streams[0]));
-    engine.open_named_session("bulk-a", 1, SliceSource::new(&streams[1]));
-    engine.open_named_session("bulk-b", 1, SliceSource::new(&streams[2]));
-    let out = engine.run().expect("engine run failed");
+    let out = run_batch(
+        pool_config(2).with_placement(PlacementPolicy::Pinned),
+        [
+            ChunkRequest::new(SliceSource::new(&streams[0]))
+                .named("isolated")
+                .pinned_to(1),
+            ChunkRequest::new(SliceSource::new(&streams[1])).named("bulk-a"),
+            ChunkRequest::new(SliceSource::new(&streams[2])).named("bulk-b"),
+        ],
+    );
     assert_eq!(out.report.sessions[0].device, 1);
     // The fallback packs unpinned tenants onto the other, lighter device.
     assert_eq!(out.report.sessions[1].device, 0);
@@ -180,16 +200,15 @@ fn pinned_placement_isolates_a_tenant() {
 
 #[test]
 fn single_stream_convenience_is_a_one_device_pool() {
-    // The legacy Shredder service runs on a pool of one; its report
-    // still carries the device view.
+    // The one-shot Shredder helper runs on a pool of one; the service
+    // report of the same request still carries the device view.
     let data = workloads::random_bytes(4 << 20, 0x977);
     let shredder = Shredder::new(ShredderConfig::gpu_streams_memory().with_buffer_size(1 << 20));
-    let engine_out = {
-        let mut engine = shredder.engine();
-        engine.open_session(SliceSource::new(&data));
-        engine.run().expect("engine run failed")
-    };
-    assert_eq!(engine_out.report.devices.len(), 1);
+    let service_out = run_batch(
+        shredder.config().clone(),
+        [ChunkRequest::new(SliceSource::new(&data))],
+    );
+    assert_eq!(service_out.report.devices.len(), 1);
     let out = shredder.chunk_stream(&data).expect("chunking failed");
-    assert_eq!(out.chunks, engine_out.sessions[0].chunks);
+    assert_eq!(out.chunks, sessions(&service_out)[0].chunks);
 }

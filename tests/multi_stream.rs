@@ -1,16 +1,18 @@
-//! Integration: the session-based multi-stream engine (the acceptance
-//! surface of the multi-tenant refactor).
+//! Integration: the multi-stream engine behind `ShredderService` (the
+//! acceptance surface of the multi-tenant refactor).
 //!
-//! ≥4 concurrent streams through one engine must (a) produce chunks
+//! ≥4 concurrent streams through one service batch must (a) produce chunks
 //! bit-identical per stream to a sequential CPU scan, (b) report
 //! aggregate throughput above the single-stream throughput of the same
 //! configuration, and (c) behave deterministically.
 
 use shredder::backup::{BackupConfig, BackupServer};
 use shredder::core::{
-    AdmissionPolicy, ChunkingService, Shredder, ShredderConfig, ShredderEngine, SliceSource,
+    AdmissionControl, AdmissionPolicy, ChunkRequest, ChunkingService, ServiceOutcome, Shredder,
+    ShredderConfig, ShredderService, SliceSource, Workload,
 };
 use shredder::hdfs::{IncHdfs, TextInputFormat};
+use shredder::rabin::Chunk;
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
 
@@ -22,6 +24,33 @@ fn tenant_streams(n: usize, bytes: usize) -> Vec<Vec<u8>> {
 
 fn cfg() -> ShredderConfig {
     ShredderConfig::gpu_streams_memory().with_buffer_size(1 << 20)
+}
+
+/// Runs `streams` as one closed batch (every request at `t = 0`,
+/// unbounded admission) under `policy`, request `i` weighted
+/// `weight(i)`.
+fn run_batch(
+    config: ShredderConfig,
+    policy: AdmissionPolicy,
+    streams: &[Vec<u8>],
+    weight: impl Fn(usize) -> u32,
+) -> ServiceOutcome {
+    let mut service = ShredderService::new(config)
+        .with_admission(AdmissionControl::unbounded())
+        .with_engine_policy(policy);
+    for (i, data) in streams.iter().enumerate() {
+        service.submit(
+            ChunkRequest::new(SliceSource::new(data))
+                .named(format!("t{i}"))
+                .with_weight(weight(i)),
+        );
+    }
+    service.run(&Workload::Batch).unwrap()
+}
+
+/// Each completed request's chunks, in submit order.
+fn chunks(out: &ServiceOutcome) -> Vec<&[Chunk]> {
+    out.completed().map(|(_, r)| r.chunks.as_slice()).collect()
 }
 
 #[test]
@@ -36,16 +65,13 @@ fn four_concurrent_streams_bit_identical_and_faster_in_aggregate() {
         .collect();
     let solo_best = solo_gbps.iter().cloned().fold(f64::MIN, f64::max);
 
-    // One engine, four sessions.
-    let mut engine = ShredderEngine::new(cfg());
-    for data in &streams {
-        engine.open_session(SliceSource::new(data));
-    }
-    let out = engine.run().unwrap();
+    // One service, four requests.
+    let out = run_batch(cfg(), AdmissionPolicy::RoundRobin, &streams, |_| 1);
 
     let params = ChunkParams::paper();
-    for (session, data) in out.sessions.iter().zip(&streams) {
-        assert_eq!(session.chunks, chunk_all(data, &params));
+    assert_eq!(out.completed().count(), streams.len());
+    for (got, data) in chunks(&out).into_iter().zip(&streams) {
+        assert_eq!(got, chunk_all(data, &params));
     }
     let aggregate = out.report.aggregate_gbps();
     assert!(
@@ -57,11 +83,7 @@ fn four_concurrent_streams_bit_identical_and_faster_in_aggregate() {
 #[test]
 fn contention_is_visible_in_reports() {
     let streams = tenant_streams(4, 2 << 20);
-    let mut engine = ShredderEngine::new(cfg());
-    for data in &streams {
-        engine.open_session(SliceSource::new(data));
-    }
-    let out = engine.run().unwrap();
+    let out = run_batch(cfg(), AdmissionPolicy::RoundRobin, &streams, |_| 1);
     // Under a shared admission pool, later-arriving buffers wait.
     assert!(!out.report.queue_wait.is_zero());
     // Per-stream makespans and first-admit timestamps are populated.
@@ -80,24 +102,16 @@ fn contention_is_visible_in_reports() {
 fn policies_change_schedule_not_chunks() {
     let streams = tenant_streams(5, 1 << 20);
     let run = |policy: AdmissionPolicy| {
-        let mut engine = ShredderEngine::new(cfg().with_buffer_size(256 << 10)).with_policy(policy);
-        for (i, data) in streams.iter().enumerate() {
-            engine.open_named_session(format!("t{i}"), (i as u32 % 3) + 1, SliceSource::new(data));
-        }
-        engine.run().unwrap()
+        run_batch(cfg().with_buffer_size(256 << 10), policy, &streams, |i| {
+            (i as u32 % 3) + 1
+        })
     };
     let rr = run(AdmissionPolicy::RoundRobin);
     let weighted = run(AdmissionPolicy::Weighted);
     let ordered = run(AdmissionPolicy::SessionOrder);
-    for ((a, b), c) in rr
-        .sessions
-        .iter()
-        .zip(&weighted.sessions)
-        .zip(&ordered.sessions)
-    {
-        assert_eq!(a.chunks, b.chunks);
-        assert_eq!(b.chunks, c.chunks);
-    }
+    assert_eq!(chunks(&rr).len(), streams.len());
+    assert_eq!(chunks(&rr), chunks(&weighted));
+    assert_eq!(chunks(&weighted), chunks(&ordered));
     // But the schedules differ: session-order serializes stream starts.
     assert!(ordered.report.sessions[4].first_admit > rr.report.sessions[4].first_admit);
 }
@@ -106,17 +120,17 @@ fn policies_change_schedule_not_chunks() {
 fn engine_is_deterministic_end_to_end() {
     let streams = tenant_streams(4, 1 << 20);
     let run = || {
-        let mut engine = ShredderEngine::new(cfg().with_buffer_size(512 << 10))
-            .with_policy(AdmissionPolicy::Weighted);
-        for (i, data) in streams.iter().enumerate() {
-            engine.open_named_session(format!("t{i}"), 1 + i as u32, SliceSource::new(data));
-        }
-        engine.run().unwrap()
+        run_batch(
+            cfg().with_buffer_size(512 << 10),
+            AdmissionPolicy::Weighted,
+            &streams,
+            |i| 1 + i as u32,
+        )
     };
     let a = run();
     let b = run();
     assert_eq!(a.report, b.report);
-    assert_eq!(a.sessions, b.sessions);
+    assert_eq!(chunks(&a), chunks(&b));
 }
 
 #[test]

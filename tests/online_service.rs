@@ -4,12 +4,18 @@
 //! The service must (a) sustain an open-loop Poisson workload below
 //! capacity with a finite, stable p99 and no shedding, (b) shed under
 //! overload with *bounded* queue delay, without corrupting accepted
-//! requests' chunk streams, and (c) leave the legacy closed-batch
-//! `open_session` + `run()` path bit-identical to a sequential scan.
+//! requests' chunk streams, and (c) keep the one-shot `Shredder`
+//! helpers bit-identical — chunks, digests and timings — to the
+//! one-request closed batch they are.
+
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::rc::Rc;
 
 use shredder::core::{
-    capacity_search, AdmissionControl, ChunkError, ChunkRequest, MemorySource, ShredderConfig,
-    ShredderEngine, ShredderService, SliceSource, Workload,
+    capacity_search, AdmissionControl, ChunkError, ChunkRequest, ChunkingService, DedupSink,
+    DedupSinkConfig, MemorySource, Report, ServiceOutcome, Shredder, ShredderConfig,
+    ShredderService, SinkPipelineHints, SliceSource, Workload,
 };
 use shredder::des::Dur;
 use shredder::hash::sha256;
@@ -239,37 +245,86 @@ fn capacity_search_finds_a_sustained_rate_meeting_the_slo() {
 }
 
 #[test]
-fn legacy_batch_run_is_bit_identical_to_sequential_scans() {
-    // The acceptance bar for the redesign: every existing caller of
-    // `open_session` + `run()` sees exactly the chunks and digests it
-    // saw before the service frontend existed.
-    let streams: Vec<Vec<u8>> = (0..4)
-        .map(|t| workloads::random_bytes(1 << 20, 777 + t as u64))
+fn one_shot_helpers_equal_a_one_request_batch_service_run() {
+    // `Shredder` is a convenience, not a second engine path: each call
+    // must be exactly a one-request, unbounded `Workload::Batch` run of
+    // the service — same chunks, same digests, same timing in every
+    // field it reports.
+    let data = workloads::random_bytes(1 << 20, 777);
+    let shredder = Shredder::new(cfg());
+    let sink_config = DedupSinkConfig {
+        hash_bw: 1.5e9,
+        index_lookup: Dur::from_micros(7),
+        index_insert: Dur::from_micros(10),
+        ship_bw: 0.9e9,
+        pointer_bytes: 40,
+        ship_chunk_overhead: Dur::from_micros(2),
+        hints: SinkPipelineHints::default(),
+    };
+    let dedup_sink = || DedupSink::new(sink_config, Rc::new(RefCell::new(HashSet::new())));
+    let one_request = |sink: Option<&mut DedupSink>| -> ServiceOutcome {
+        let mut service = ShredderService::new(cfg()).with_admission(AdmissionControl::unbounded());
+        let request = ChunkRequest::new(SliceSource::new(&data));
+        service.submit(match sink {
+            Some(sink) => request.with_sink(sink),
+            None => request,
+        });
+        service.run(&Workload::Batch).unwrap()
+    };
+
+    // Boundary-only: `chunk_stream`.
+    let helper = shredder.chunk_stream(&data).unwrap();
+    let service = one_request(None);
+    let (_, request) = service.completed().next().unwrap();
+    assert_eq!(helper.chunks, request.chunks);
+    assert_eq!(helper.chunks, chunk_all(&data, &ChunkParams::paper()));
+    let digests: Vec<_> = request
+        .chunks
+        .iter()
+        .map(|c| sha256(c.slice(&data)))
         .collect();
-    let mut engine = ShredderEngine::new(cfg());
-    for s in &streams {
-        engine.open_session(SliceSource::new(s));
-    }
-    let out = engine.run().unwrap();
-    for (session, data) in out.sessions.iter().zip(&streams) {
-        assert_eq!(session.chunks, chunk_all(data, &ChunkParams::paper()));
-        let digests: Vec<_> = session
-            .chunks
-            .iter()
-            .map(|c| sha256(c.slice(data)))
-            .collect();
-        assert_eq!(digests.len(), session.chunks.len());
-    }
-    // The closed-batch path reports no service frontend.
-    assert!(out.report.service.is_none());
-    // And the batch service run of the same streams yields the same
-    // chunks (the run() path *is* the batch workload).
-    let mut service = ShredderService::new(cfg());
-    for (t, s) in streams.iter().enumerate() {
-        service.submit(ChunkRequest::new(MemorySource::new(s.clone())).named(format!("t{t}")));
-    }
-    let svc_out = service.run(&Workload::Batch).unwrap();
-    for (r, session) in svc_out.requests.iter().zip(&out.sessions) {
-        assert_eq!(r.outcome.as_ref().unwrap().chunks, session.chunks);
-    }
+    assert_eq!(helper.digests(&data), digests);
+    let per = &service.report.sessions[0];
+    let Report::Pipeline(pipeline) = &helper.report else {
+        panic!("the GPU helper reports a pipeline run");
+    };
+    assert_eq!(pipeline.bytes, per.bytes);
+    assert_eq!(pipeline.buffers, per.buffers);
+    assert_eq!(pipeline.makespan, service.report.makespan);
+    assert_eq!(pipeline.stage_busy, service.report.stage_busy);
+    assert_eq!(pipeline.kernel_time, per.kernel_time);
+    assert_eq!(pipeline.timeline, per.timeline);
+    assert_eq!(pipeline.ring_setup, service.report.ring_setup);
+    assert_eq!(pipeline.raw_cuts, per.raw_cuts);
+
+    // With downstream stages: `chunk_stream_sink`.
+    let mut helper_sink = dedup_sink();
+    let helper = shredder.chunk_stream_sink(&data, &mut helper_sink).unwrap();
+    let mut service_sink = dedup_sink();
+    let service = one_request(Some(&mut service_sink));
+    assert_eq!(helper_sink.verdicts(), service_sink.verdicts());
+    let (_, request) = service.completed().next().unwrap();
+    let sunk: Vec<_> = helper_sink.verdicts().iter().map(|v| v.chunk).collect();
+    assert_eq!(sunk, request.chunks);
+    let sunk_digests: Vec<_> = helper_sink.verdicts().iter().map(|v| v.digest).collect();
+    assert_eq!(sunk_digests, digests);
+    assert_eq!(helper.makespan, service.report.makespan);
+    assert_eq!(helper.stages, service.report.sink_stages);
+    let per = &service.report.sessions[0];
+    let Report::Pipeline(pipeline) = &helper.report else {
+        panic!("the GPU helper reports a pipeline run");
+    };
+    // The chunk-only makespan ends when the last buffer leaves the
+    // Store thread; the sink stages run on past it.
+    let chunk_end = per.timeline.last().unwrap().store_end;
+    assert_eq!(
+        pipeline.makespan,
+        chunk_end.saturating_since(per.first_admit)
+    );
+    assert!(pipeline.makespan < helper.makespan);
+    assert_eq!(pipeline.stage_busy, service.report.stage_busy);
+    assert_eq!(pipeline.kernel_time, per.kernel_time);
+    assert_eq!(pipeline.timeline, per.timeline);
+    assert_eq!(pipeline.ring_setup, service.report.ring_setup);
+    assert_eq!(pipeline.raw_cuts, per.raw_cuts);
 }

@@ -1,5 +1,5 @@
 //! End-to-end generation lifecycle: N mutated generations ingested
-//! through `StoreSink` sessions on the engine, bounded physical growth,
+//! through `StoreSink` requests on the service, bounded physical growth,
 //! bit-identical digest-verified restore of every live generation, and
 //! GC reclaim of exactly the bytes unique to expired generations.
 
@@ -8,7 +8,8 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use shredder::core::{
-    ShredderConfig, ShredderEngine, SliceSource, StageKind, StoreSink, StoreSinkConfig,
+    AdmissionControl, ChunkRequest, ShredderConfig, ShredderService, SliceSource, StageKind,
+    StoreSink, StoreSinkConfig, Workload,
 };
 use shredder::hash::Digest;
 use shredder::store::ChunkStore;
@@ -57,9 +58,14 @@ fn eight_generations_ingest_restore_expire_gc() {
     for g in 0..GENERATIONS {
         let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store.clone());
         let report = {
-            let mut engine = ShredderEngine::new(cfg.clone());
-            engine.open_sink_session(format!("gen-{g}"), 1, SliceSource::new(&data), &mut sink);
-            engine.run().expect("engine run").report
+            let mut service =
+                ShredderService::new(cfg.clone()).with_admission(AdmissionControl::unbounded());
+            service.submit(
+                ChunkRequest::new(SliceSource::new(&data))
+                    .named(format!("gen-{g}"))
+                    .with_sink(&mut sink),
+            );
+            service.run(&Workload::Batch).expect("service run").report
         };
         // The store commit ran as an in-simulation stage of the engine.
         let stage = report
@@ -161,7 +167,7 @@ fn eight_generations_ingest_restore_expire_gc() {
 
 #[test]
 fn batched_generations_share_one_engine_and_store() {
-    // Two streams ("vm-a", "vm-b") ingested as sessions of ONE engine
+    // Two streams ("vm-a", "vm-b") ingested as requests of ONE service
     // run, committing into one shared store: cross-stream dedup works
     // and each stream restores independently.
     let cfg = config();
@@ -172,10 +178,18 @@ fn batched_generations_share_one_engine_and_store() {
     let mut sink_a = StoreSink::new("vm-a", StoreSinkConfig::default(), store.clone());
     let mut sink_b = StoreSink::new("vm-b", StoreSinkConfig::default(), store.clone());
     {
-        let mut engine = ShredderEngine::new(cfg);
-        engine.open_sink_session("a", 1, SliceSource::new(&a), &mut sink_a);
-        engine.open_sink_session("b", 1, SliceSource::new(&b), &mut sink_b);
-        engine.run().expect("engine run");
+        let mut service = ShredderService::new(cfg).with_admission(AdmissionControl::unbounded());
+        service.submit(
+            ChunkRequest::new(SliceSource::new(&a))
+                .named("a")
+                .with_sink(&mut sink_a),
+        );
+        service.submit(
+            ChunkRequest::new(SliceSource::new(&b))
+                .named("b")
+                .with_sink(&mut sink_b),
+        );
+        service.run(&Workload::Batch).expect("service run");
     }
     let gen_a = sink_a.generation().unwrap();
     let gen_b = sink_b.generation().unwrap();
